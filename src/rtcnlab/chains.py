@@ -20,8 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rng import raw_block
-
 _DATA_DIR = Path(__file__).parent / "data" / "chains"
 
 BUILTIN_IDS = ("trident", "a-i", "a-ii", "b-i", "b-ii", "b-iii",
@@ -78,10 +76,6 @@ class TransitionTable:
     rules: List[TransitionRule]
     observables: Dict[str, Callable]
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
     def state_kwargs(self, state: Sequence[int]) -> dict:
         return dict(zip(("a", "b", "c"), state))
 
@@ -95,12 +89,6 @@ class TransitionTable:
     def observe(self, state: Sequence[int]) -> Dict[str, int]:
         kw = self.state_kwargs(state)
         return {name: fn(0, **kw) for name, fn in self.observables.items()}
-
-
-@dataclass(frozen=True)
-class ChainState:
-    n: int
-    counts: Tuple[int, ...]
 
 
 _table_cache: Dict[str, TransitionTable] = {}
@@ -263,47 +251,3 @@ def marginal_moment(dist: Dict[Tuple[int, ...], Fraction], component: int,
             total += p * term
         return total
     raise ValueError(f"unknown moment kind {kind!r}")
-
-
-# -- simulation ------------------------------------------------------------
-
-
-def _rules_merged(table: TransitionTable):
-    """Rules grouped by delta vector; numerators summed."""
-    groups: Dict[Tuple[int, ...], List[Callable]] = {}
-    for rule in table.rules:
-        groups.setdefault(rule.delta, []).append(rule.numerator)
-    return [(delta, fns) for delta, fns in groups.items()]
-
-
-def simulate(table: TransitionTable, n_target: int, seed: int) -> ChainState:
-    """One trajectory from the chain's n=2 initial state.
-
-    Uses the replication-0 slot of the counter-based stream for the given
-    seed, so it agrees with the first replication of a batch run.
-    """
-    if n_target < 2:
-        raise ValueError("need n_target >= 2")
-    state = list(table.initial)
-    for n in range(2, n_target):
-        nn = n * n
-        word = int(raw_block(seed, n, 0, 4)[0])
-        v = word % nn
-        kw = table.state_kwargs(state)
-        nums = [rule.numerator(n, **kw) for rule in table.rules]
-        if sum(nums) != nn:
-            raise TableError(
-                f"table {table.name}: numerators sum to {sum(nums)} != n^2 "
-                f"at n={n}, state={state}")
-        acc = 0
-        chosen = table.rules[-1]
-        for rule, num in zip(table.rules, nums):
-            acc += num
-            if v < acc:
-                chosen = rule
-                break
-        state = [x + d for x, d in zip(state, chosen.delta)]
-        if not table.feasible(n + 1, state):
-            raise TableError(
-                f"table {table.name}: infeasible state {state} at n={n + 1}")
-    return ChainState(n_target, tuple(state))

@@ -109,6 +109,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.reps is not None and args.reps < 2:
+        raise UsageError("--reps must be at least 2")
     opts = {"seed": args.seed, "threads": args.threads}
     if args.reps is not None:
         opts["reps"] = args.reps
@@ -162,7 +164,6 @@ def cmd_classify(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="rtcnlab",
                      description="ranked tree-child network pattern lab")
-    default_threads = int(os.environ.get("RTCN_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample a network")
@@ -185,7 +186,13 @@ def build_parser() -> _Parser:
     v.add_argument("--reps", type=int, default=None)
     v.add_argument("--leaves", type=int, default=None,
                    help="override the suite's leaf count")
-    v.add_argument("--threads", type=int, default=default_threads)
+    # argparse converts a string default with type, so a bad RTCN_THREADS
+    # is a usage error like a bad --threads
+    v.add_argument("--threads", type=int,
+                   default=os.environ.get("RTCN_THREADS", "1"),
+                   help="thread budget (default: RTCN_THREADS, else 1); "
+                        "the work holds the interpreter lock, so more "
+                        "threads seldom run faster")
     v.add_argument("--sigma-file", default=None,
                    help="override the covariance matrix data file")
     v.add_argument("--out")

@@ -18,8 +18,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import chains
 
-Rational = Fraction
-
 _SIGMA_PATH = Path(__file__).parent / "data" / "sigma.json"
 
 
@@ -143,23 +141,11 @@ def trident_mean_recurrence(n: int) -> Fraction:
 def trident_moment_table(n_max: int) -> Dict[int, Tuple[Fraction, Fraction]]:
     """(E T_n, E T_n^2) for 2 <= n <= n_max from the exact chain law."""
     table = chains.builtin_table("trident")
-    out = {2: (Fraction(0), Fraction(0))}
-    dist = {table.initial: Fraction(1)}
-    for n in range(2, n_max):
-        nn = n * n
-        new: Dict[Tuple[int, ...], Fraction] = {}
-        for state, p in dist.items():
-            kw = table.state_kwargs(state)
-            for rule in table.rules:
-                num = rule.numerator(n, **kw)
-                if num == 0:
-                    continue
-                nxt = tuple(x + d for x, d in zip(state, rule.delta))
-                new[nxt] = new.get(nxt, Fraction(0)) + p * Fraction(num, nn)
-        dist = new
-        m1 = sum((p * s[0] for s, p in dist.items()), Fraction(0))
-        m2 = sum((p * s[0] ** 2 for s, p in dist.items()), Fraction(0))
-        out[n + 1] = (m1, m2)
+    out = {}
+    for n in range(2, n_max + 1):
+        dist = chains.exact_distribution(table, n)
+        out[n] = (chains.marginal_moment(dist, 0, 1),
+                  chains.marginal_moment(dist, 0, 2))
     return out
 
 

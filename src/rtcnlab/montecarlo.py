@@ -11,10 +11,10 @@ integer addition.  Every statistic is derived from that histogram.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,43 +236,55 @@ def _merge_counts(target: Dict[Tuple[int, ...], int], rows: np.ndarray) -> None:
         target[key] = target.get(key, 0) + int(cnt)
 
 
+def _map_chunks(work: Callable[[int, int], np.ndarray], reps: int,
+                threads: int) -> Iterator[np.ndarray]:
+    """work(lo, hi) over the fixed chunks of replications 0..reps-1, in
+    chunk order.  With threads > 1 the chunks run on a thread pool; the
+    chunk work holds the interpreter lock, so threads seldom run faster."""
+    los = range(0, reps, CHUNK)
+    his = [min(lo + CHUNK, reps) for lo in los]
+    if threads <= 1:
+        yield from map(work, los, his)
+        return
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(work, los, his)
+
+
 def run_experiment(cfg: ExperimentConfig,
                    raw_csv: Optional[str] = None) -> SampleSummary:
     """Run all replications and summarize.  The thread budget only changes
     the scheduling of fixed chunks, never the result.  With raw_csv the
-    per-replication counts are also written out, in replication order."""
-    if cfg.source == "forward":
-        return _run_forward(cfg, raw_csv)
-    compiled = _CompiledChain(chains.builtin_table(cfg.source))
-    bounds = []
-    lo = 0
-    while lo < cfg.reps:
-        bounds.append((lo, min(lo + CHUNK, cfg.reps)))
-        lo += CHUNK
+    per-replication counts are also written out, in replication order.
 
-    def work(span):
-        lo, hi = span
-        hi4 = (hi + 3) // 4 * 4
-        rows = compiled.run_block(cfg.n, cfg.seed, lo, hi4)
-        return rows[: hi - lo]
+    A chain source runs replications lo..hi-1 of its kernel per chunk; the
+    forward source grows replication r with networks.generate on stream
+    r + 1 and counts cfg.pattern_ids on it."""
+    if cfg.source == "forward":
+        components = cfg.pattern_ids
+
+        def work(lo, hi):
+            nets = (networks.generate(cfg.n, cfg.seed, stream=r + 1)
+                    for r in range(lo, hi))
+            return np.array([[patterns.count_occurrences(net, pid)
+                              for pid in components] for net in nets],
+                            dtype=np.int64)
+    else:
+        compiled = _CompiledChain(chains.builtin_table(cfg.source))
+        components = compiled.obs_names
+
+        def work(lo, hi):
+            hi4 = (hi + 3) // 4 * 4
+            return compiled.run_block(cfg.n, cfg.seed, lo, hi4)[: hi - lo]
 
     histogram: Dict[Tuple[int, ...], int] = {}
     chunk_rows = [] if raw_csv else None
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for rows in pool.map(work, bounds):
-                _merge_counts(histogram, rows)
-                if chunk_rows is not None:
-                    chunk_rows.append(rows)
-    else:
-        for span in bounds:
-            rows = work(span)
-            _merge_counts(histogram, rows)
-            if chunk_rows is not None:
-                chunk_rows.append(rows)
+    for rows in _map_chunks(work, cfg.reps, cfg.threads):
+        _merge_counts(histogram, rows)
+        if chunk_rows is not None:
+            chunk_rows.append(rows)
     if raw_csv:
-        _write_raw_csv(raw_csv, compiled.obs_names, chunk_rows)
-    return SampleSummary(components=compiled.obs_names, n=cfg.n,
+        _write_raw_csv(raw_csv, components, chunk_rows)
+    return SampleSummary(components=tuple(components), n=cfg.n,
                          reps=cfg.reps, seed=cfg.seed, source=cfg.source,
                          histogram=histogram)
 
@@ -288,65 +300,6 @@ def _write_raw_csv(path: str, components, chunk_rows) -> None:
             for row in rows:
                 writer.writerow((rep,) + tuple(int(x) for x in row))
                 rep += 1
-
-
-def _run_forward(cfg: ExperimentConfig,
-                 raw_csv: Optional[str] = None) -> SampleSummary:
-    ids = cfg.pattern_ids
-    counters = []
-    for pid in ids:
-        _, spec = patterns.resolve(pid)
-        counters.append((pid, spec))
-
-    def one(rep: int) -> Tuple[int, ...]:
-        net = _generate_stream(cfg.n, cfg.seed, rep)
-        return tuple(patterns.count_occurrences(net, pid) for pid, _ in counters)
-
-    def work(span):
-        lo, hi = span
-        return [one(r) for r in range(lo, hi)]
-
-    bounds = []
-    lo = 0
-    while lo < cfg.reps:
-        bounds.append((lo, min(lo + CHUNK, cfg.reps)))
-        lo += CHUNK
-    histogram: Dict[Tuple[int, ...], int] = {}
-    chunk_rows = [] if raw_csv else None
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = pool.map(work, bounds)
-            for rows in results:
-                for key in rows:
-                    histogram[key] = histogram.get(key, 0) + 1
-                if chunk_rows is not None:
-                    chunk_rows.append(rows)
-    else:
-        for span in bounds:
-            rows = work(span)
-            for key in rows:
-                histogram[key] = histogram.get(key, 0) + 1
-            if chunk_rows is not None:
-                chunk_rows.append(rows)
-    if raw_csv:
-        _write_raw_csv(raw_csv, ids, chunk_rows)
-    return SampleSummary(components=tuple(ids), n=cfg.n, reps=cfg.reps,
-                         seed=cfg.seed, source="forward", histogram=histogram)
-
-
-def _generate_stream(n: int, seed: int, rep: int) -> networks.EventStructure:
-    """Forward construction for one replication, on its own substream."""
-    from .rng import CounterStream
-
-    words = CounterStream(seed, stream=rep + 1).words(max(n - 2, 1))
-    s = networks.EventStructure(network_root=True)
-    for k in range(n - 2):
-        ell = k + 2
-        v = int(words[k]) % (ell * ell)
-        i, j = divmod(v, ell)
-        s.apply(networks.Branching(i) if i == j
-                else networks.Reticulation(i, j))
-    return s
 
 
 # -- fit checks ---------------------------------------------------------------

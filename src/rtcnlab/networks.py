@@ -218,33 +218,6 @@ class EventLog:
             ell += 1
 
 
-class ConstructionState:
-    """Open-lineage list plus the partial network built so far.
-
-    Treat as immutable: forward_step returns a new state.
-    """
-
-    def __init__(self, structure: EventStructure | None = None,
-                 events: Tuple[Event, ...] = ()):
-        self.structure = structure if structure is not None else \
-            EventStructure(network_root=True)
-        self.events = events
-
-    @property
-    def n_lineages(self) -> int:
-        return len(self.structure.open_slots)
-
-
-def forward_step(state: ConstructionState, pair: Tuple[int, int]) -> ConstructionState:
-    """Attach one event: branching if the pair repeats a slot, else a
-    reticulation with incoming lineages at the two slots."""
-    i, j = pair
-    event: Event = Branching(i) if i == j else Reticulation(i, j)
-    struct = state.structure.copy()
-    struct.apply(event)
-    return ConstructionState(struct, state.events + (event,))
-
-
 class Network:
     """A ranked tree-child network: event log plus derived structure."""
 
@@ -398,18 +371,17 @@ def validate(obj: Union[Network, NodeGraph]) -> List[str]:
 # -- generation and enumeration -------------------------------------------
 
 
-def generate(n: int, seed: int) -> Network:
+def generate(n: int, seed: int, stream: int = 0) -> Network:
     """Grow a network to n leaves; the pair at each step is drawn
-    uniformly from the ell^2 ordered possibilities."""
+    uniformly from the ell^2 ordered possibilities, from the word of that
+    step on the given stream of the seed."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    words = CounterStream(seed).words(max(n - 2, 1))
+    words = CounterStream(seed, stream).words(max(n - 2, 1)).tolist()
     structure = EventStructure(network_root=True)
     events: List[Event] = []
-    for k in range(n - 2):
-        ell = k + 2
-        v = int(words[k]) % (ell * ell)
-        i, j = divmod(v, ell)
+    for ell, word in zip(range(2, n), words):
+        i, j = divmod(word % (ell * ell), ell)
         ev: Event = Branching(i) if i == j else Reticulation(i, j)
         structure.apply(ev)
         events.append(ev)
@@ -474,6 +446,7 @@ def parse(text: str) -> Network:
     except ValueError:
         raise ParseError("bad leaf count", 1) from None
     events: List[Event] = []
+    event_lines: List[int] = []
     for idx, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -487,15 +460,17 @@ def parse(text: str) -> Network:
                 raise ParseError(f"unrecognized event line {line!r}", idx)
         except ValueError:
             raise ParseError(f"bad index in {line!r}", idx) from None
+        event_lines.append(idx)
     if len(events) != n - 2:
         raise ParseError(
             f"header says n={n} but {len(events)} events follow", len(lines))
-    log = EventLog(tuple(events))
-    try:
-        log.validate()
-    except EventLogError as exc:
-        raise ParseError(str(exc), 1) from None
-    return Network(log)
+    structure = EventStructure(network_root=True)
+    for k, (ev, idx) in enumerate(zip(events, event_lines)):
+        try:
+            structure.apply(ev)
+        except EventLogError as exc:
+            raise ParseError(f"event {k}: {exc}", idx) from None
+    return Network(EventLog(tuple(events)), structure)
 
 
 def to_dot(network: Network) -> str:

@@ -40,20 +40,7 @@ class CounterStream:
         self.seed = int(seed)
         self.stream = int(stream)
 
-    def word(self, step: int) -> int:
-        bg = _philox(self.seed, self.stream, int(step))
-        return int(bg.random_raw(1)[0])
-
     def words(self, n_steps: int) -> np.ndarray:
-        """Words for steps 0..n_steps-1 in one generator call; identical
-        to calling word() per step."""
+        """Words for steps 0..n_steps-1, in one generator call."""
         bg = _philox(self.seed, self.stream, 0)
         return bg.random_raw(4 * n_steps)[::4]
-
-    def below(self, step: int, bound: int) -> int:
-        """Uniform draw in [0, bound) for the given step index.
-
-        Reduction is by modulus; for bound up to ~2**22 the bias is below
-        2**-42 which is far under any tolerance used here.
-        """
-        return self.word(step) % bound

@@ -9,12 +9,13 @@ surrogates on large simulations with pinned tolerances.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from . import chains, conjecture, gof, montecarlo, moments, networks, patterns
+from . import chains, conjecture, montecarlo, moments, networks, patterns
 
 DEFAULTS = {
     "reps": 100_000,
@@ -59,6 +60,35 @@ def _sanitize(obj):
     return str(obj)
 
 
+SUITES: Dict[str, Callable[[dict], SuiteReport]] = {}
+
+
+def _suite(body: Callable[[SuiteReport, dict], None]) -> Callable[[dict], SuiteReport]:
+    """Register suite_<name> under <name>.  The registered function takes
+    the options, runs body on a fresh report and records its wall time."""
+    name = body.__name__.removeprefix("suite_")
+
+    @functools.wraps(body)
+    def run(opts: dict) -> SuiteReport:
+        rep = SuiteReport(name)
+        t0 = time.time()
+        body(rep, opts)
+        rep.elapsed_s = time.time() - t0
+        return rep
+
+    SUITES[name] = run
+    return run
+
+
+def _mc_options(opts: dict, n: int) -> Tuple[int, int, int, int]:
+    """(n, reps, seed, threads) of a statistical suite: its options, else
+    the given leaf count and the defaults."""
+    return (int(opts.get("n", n)),
+            int(opts.get("reps", DEFAULTS["reps"])),
+            int(opts.get("seed", DEFAULTS["seed"])),
+            int(opts.get("threads", DEFAULTS["threads"])))
+
+
 _summary_cache: Dict[tuple, montecarlo.SampleSummary] = {}
 
 
@@ -82,11 +112,10 @@ def _merge_fit(report: SuiteReport, prefix: str, fit: montecarlo.FitReport):
 # -- exact suites ------------------------------------------------------------
 
 
-def suite_coupling(opts: dict) -> SuiteReport:
+@_suite
+def suite_coupling(rep: SuiteReport, opts: dict) -> None:
     """Exact distributional identity between full history enumeration and
     the chain laws, for every leaf count up to the configured maximum."""
-    rep = SuiteReport("coupling")
-    t0 = time.time()
     n_max = int(opts.get("n_max", opts.get("n", 7)))
     chain_ids = opts.get("chains", list(chains.TRANSCRIBED_IDS))
     tables = {cid: chains.builtin_table(cid) for cid in chain_ids}
@@ -109,16 +138,13 @@ def suite_coupling(opts: dict) -> SuiteReport:
             ok = empirical == exact
             rep.add(f"coupling:{cid}:n={n}", ok,
                     histories=total, states=len(exact))
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_moments(opts: dict) -> SuiteReport:
+@_suite
+def suite_moments(rep: SuiteReport, opts: dict) -> None:
     """Mean closed forms against their recurrences, the mixed-moment
     pairing identity, and the leading toll constant of the shifted
     second-moment recurrence."""
-    rep = SuiteReport("moments")
-    t0 = time.time()
     sigma = moments.load_sigma(opts.get("sigma_file")) if opts.get("sigma_file") \
         else moments.default_sigma()
 
@@ -220,13 +246,9 @@ def suite_moments(opts: dict) -> SuiteReport:
             extrapolated=extrapolated, target=target,
             raw_psi_25=psi[25], trend_decreasing=trend)
 
-    rep.elapsed_s = time.time() - t0
-    return rep
 
-
-def suite_conjecture(opts: dict) -> SuiteReport:
-    rep = SuiteReport("conjecture")
-    t0 = time.time()
+@_suite
+def suite_conjecture(rep: SuiteReport, opts: dict) -> None:
     for mode in conjecture.BASE_MODES:
         got = conjecture.classify_catalog(mode)
         for pid, want in conjecture.KNOWN_LABELS.items():
@@ -234,15 +256,12 @@ def suite_conjecture(opts: dict) -> SuiteReport:
                     got=got[pid].value, want=want.value)
     both = [conjecture.classify_catalog(m) for m in conjecture.BASE_MODES]
     rep.add("base_modes_agree", both[0] == both[1])
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_matcher(opts: dict) -> SuiteReport:
+@_suite
+def suite_matcher(rep: SuiteReport, opts: dict) -> None:
     """Closed-form counters against the brute force embedding oracle on a
     pile of random networks."""
-    rep = SuiteReport("matcher")
-    t0 = time.time()
     trials = int(opts.get("trials", 1000))
     n_max = int(opts.get("n_max", 30))
     seed = int(opts.get("seed", DEFAULTS["seed"]))
@@ -259,21 +278,15 @@ def suite_matcher(opts: dict) -> SuiteReport:
                                    "fast": fast, "brute": brute})
     rep.add("fast_equals_bruteforce", not mismatches,
             trials=trials, n_max=n_max, mismatches=mismatches[:5])
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
 # -- statistical suites --------------------------------------------------------
 
 
-def suite_theorem1(opts: dict) -> SuiteReport:
+@_suite
+def suite_theorem1(rep: SuiteReport, opts: dict) -> None:
     """Central limit behaviour of the trident count at n=2000."""
-    rep = SuiteReport("theorem1")
-    t0 = time.time()
-    n = int(opts.get("n", 2000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=2000)
     summary = _chain_summary("trident", n, reps, seed, threads)
     mu = float(moments.mean_closed_form("trident", n))
     sigma2 = 24 * n / 637
@@ -282,8 +295,6 @@ def suite_theorem1(opts: dict) -> SuiteReport:
     fit = montecarlo.normality_check(summary, mu, sigma2, component="trident",
                                      var_rel_tol=0.05, moment_slack_coef=0.0)
     _merge_fit(rep, "trident_clt", fit)
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
 _POISSON_LAMBDAS = {"b-i": Fraction(1, 8), "b-ii": Fraction(1, 28),
@@ -291,14 +302,10 @@ _POISSON_LAMBDAS = {"b-i": Fraction(1, 8), "b-ii": Fraction(1, 28),
                     "b-v": Fraction(1, 28)}
 
 
-def suite_theorem2b(opts: dict) -> SuiteReport:
+@_suite
+def suite_theorem2b(rep: SuiteReport, opts: dict) -> None:
     """Poisson limits of the five sporadic height-2 patterns at n=1000."""
-    rep = SuiteReport("theorem2b")
-    t0 = time.time()
-    n = int(opts.get("n", 1000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=1000)
     for pid, lam in _POISSON_LAMBDAS.items():
         summary = _chain_summary(pid, n, reps, seed, threads)
         fit = montecarlo.poisson_gof(summary, float(lam), component=pid,
@@ -306,19 +313,13 @@ def suite_theorem2b(opts: dict) -> SuiteReport:
                                          opts.get("p_threshold",
                                                   DEFAULTS["p_threshold"])))
         _merge_fit(rep, f"{pid}", fit)
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_theorem2a(opts: dict) -> SuiteReport:
+@_suite
+def suite_theorem2a(rep: SuiteReport, opts: dict) -> None:
     """Degenerate patterns: vanishing occurrence fractions plus the exact
     small mean of the stacked-branching count."""
-    rep = SuiteReport("theorem2a")
-    t0 = time.time()
-    n = int(opts.get("n", 1000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=1000)
     max_fraction = float(opts.get("max_fraction", 0.01))
 
     sources = [("a-i", "a-i"), ("a-ii", "a-ii"), ("b-i", "h3-bi")]
@@ -337,18 +338,12 @@ def suite_theorem2a(opts: dict) -> SuiteReport:
     rel = abs(mean / target - 1)
     rep.add("a-i:exact_mean_near_1_over_10n", rel < Fraction(1, 4),
             mean=mean, target=target, rel_error=float(rel))
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_theorem2c(opts: dict) -> SuiteReport:
+@_suite
+def suite_theorem2c(rep: SuiteReport, opts: dict) -> None:
     """Normal limits of the two frequent height-2 patterns at n=2000."""
-    rep = SuiteReport("theorem2c")
-    t0 = time.time()
-    n = int(opts.get("n", 2000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=2000)
     targets = {
         "c-i": (Fraction(4, 77), Fraction(4575916, 137582445)),
         "c-ii": (Fraction(2, 77), Fraction(2930764, 137582445)),
@@ -359,56 +354,28 @@ def suite_theorem2c(opts: dict) -> SuiteReport:
             summary, float(mu_coef * n), float(var_coef * n), component=pid,
             var_rel_tol=0.05)
         _merge_fit(rep, pid, fit)
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_prop3(opts: dict) -> SuiteReport:
+@_suite
+def suite_prop3(rep: SuiteReport, opts: dict) -> None:
     """Joint law of (base count, cherry count) for the branch-plus-join
     pattern: independent Poisson(1/8) x Poisson(1/4)."""
-    rep = SuiteReport("prop3")
-    t0 = time.time()
-    n = int(opts.get("n", 1000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=1000)
     summary = _chain_summary("b-i", n, reps, seed, threads)
     fit = montecarlo.independence_check(summary, components=("b-i", "cherry"))
     _merge_fit(rep, "joint", fit)
-    rep.elapsed_s = time.time() - t0
-    return rep
 
 
-def suite_prop4(opts: dict) -> SuiteReport:
+@_suite
+def suite_prop4(rep: SuiteReport, opts: dict) -> None:
     """Covariance structure of (overlap, base, trident) counts at n=2000,
     scaled by 1/n, against the limit matrix."""
-    rep = SuiteReport("prop4")
-    t0 = time.time()
-    n = int(opts.get("n", 2000))
-    reps = int(opts.get("reps", DEFAULTS["reps"]))
-    seed = int(opts.get("seed", DEFAULTS["seed"]))
-    threads = int(opts.get("threads", DEFAULTS["threads"]))
+    n, reps, seed, threads = _mc_options(opts, n=2000)
     sigma = moments.load_sigma(opts.get("sigma_file")) if opts.get("sigma_file") \
         else moments.default_sigma()
     summary = _chain_summary("c-i", n, reps, seed, threads)
     fit = montecarlo.covariance_check(summary, n, sigma)
     _merge_fit(rep, "covariance", fit)
-    rep.elapsed_s = time.time() - t0
-    return rep
-
-
-SUITES: Dict[str, Callable[[dict], SuiteReport]] = {
-    "theorem1": suite_theorem1,
-    "theorem2a": suite_theorem2a,
-    "theorem2b": suite_theorem2b,
-    "theorem2c": suite_theorem2c,
-    "prop3": suite_prop3,
-    "prop4": suite_prop4,
-    "coupling": suite_coupling,
-    "moments": suite_moments,
-    "conjecture": suite_conjecture,
-    "matcher": suite_matcher,
-}
 
 
 def run_suite(suite: str, opts: Optional[dict] = None) -> SuiteReport:

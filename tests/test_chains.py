@@ -53,15 +53,6 @@ def test_validate_catches_perturbed_numerator(tmp_path):
     assert chains.validate_table(table, n_max=8) != []
 
 
-def test_simulate_initial_and_small():
-    t = chains.builtin_table("trident")
-    assert chains.simulate(t, 2, 77).counts == (0,)
-    hits = sum(chains.simulate(t, 3, seed).counts[0] for seed in range(3000))
-    assert abs(hits / 3000 - 0.5) < 0.05
-    # reproducibility
-    assert chains.simulate(t, 200, 5) == chains.simulate(t, 200, 5)
-
-
 def test_exact_distribution_trident_small():
     t = chains.builtin_table("trident")
     assert chains.exact_distribution(t, 3) == {(0,): Fraction(1, 2),

@@ -146,6 +146,19 @@ def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nonsense"]) == 1
 
 
+def test_bad_threads_variable_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RTCN_THREADS", "abc")
+    assert run(["verify", "--suite", "conjecture"]) == 1
+    err = capsys.readouterr().err
+    assert "--threads" in err and len(err.splitlines()) == 1
+
+
+def test_verify_rejects_single_replication(capsys):
+    assert run(["verify", "--suite", "theorem1", "--reps", "1",
+                "--leaves", "10"]) == 1
+    assert "--reps" in capsys.readouterr().err
+
+
 def test_bad_subcommand_is_usage_error():
     assert run(["frobnicate"]) == 1
 

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rtcnlab import chains, gof, montecarlo as mc
+from rtcnlab import chains, gof, montecarlo as mc, networks, patterns
 
 
 # frozen reference values for the chi-square survival function
@@ -118,6 +119,26 @@ def test_run_experiment_deterministic_and_thread_independent():
     assert one.power_sums == eight.power_sums
 
 
+def test_run_experiment_trident_initial_and_small():
+    at_two = mc.run_experiment(mc.ExperimentConfig(
+        source="trident", n=2, reps=50, seed=77))
+    assert at_two.histogram == {(0,): 50}
+    at_three = mc.run_experiment(mc.ExperimentConfig(
+        source="trident", n=3, reps=3000, seed=77))
+    assert abs(at_three.mean("trident") - 0.5) < 0.05
+
+
+def test_forward_source_is_generate_per_stream():
+    ids = ("cherry", "trident", "b-i")
+    cfg = mc.ExperimentConfig(source="forward", n=8, reps=64, seed=5,
+                              pattern_ids=ids)
+    want = Counter(
+        tuple(patterns.count_occurrences(networks.generate(8, 5, stream=r + 1),
+                                         pid) for pid in ids)
+        for r in range(64))
+    assert mc.run_experiment(cfg).histogram == dict(want)
+
+
 def test_forward_source_thread_independent():
     base = dict(source="forward", n=6, reps=800, seed=4,
                 pattern_ids=("cherry", "trident"))
@@ -170,7 +191,6 @@ def test_raw_csv_and_report(tmp_path):
     assert lines[0] == "replication,b-iv,trident"
     assert len(lines) == 501
     # csv agrees with the histogram
-    from collections import Counter
     rows = Counter(tuple(int(x) for x in l.split(",")[1:]) for l in lines[1:])
     assert dict(rows) == s.histogram
     doc = s.to_dict()

@@ -4,40 +4,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtcnlab import networks as nw
-from rtcnlab.networks import Branching, ConstructionState, EventLog, Network, Reticulation
+from rtcnlab.networks import Branching, EventLog, Network, Reticulation
 
 
-def test_forward_step_branching_at_two_lineages():
-    state = ConstructionState()
-    assert state.n_lineages == 2
-    nxt = nw.forward_step(state, (0, 0))
-    assert nxt.n_lineages == 3
-    assert nxt.events == (Branching(0),)
-    # the original state is untouched
-    assert state.n_lineages == 2
+def test_apply_branching_at_two_lineages():
+    root = nw.EventStructure(network_root=True)
+    assert len(root.open_slots) == 2
+    grown = root.copy()
+    grown.apply(Branching(0))
+    assert len(grown.open_slots) == 3
+    assert grown.kinds == ["B", "B"]  # the initial branching, then ours
+    assert grown.consumed[1] == (root.open_slots[0],)
+    # the copied structure is untouched
+    assert len(root.open_slots) == 2
 
 
-def test_forward_step_reticulation_at_two_lineages():
-    nxt = nw.forward_step(ConstructionState(), (0, 1))
-    assert nxt.n_lineages == 3
-    net = Network(EventLog(nxt.events))
+def test_apply_reticulation_at_two_lineages():
+    net = Network(EventLog((Reticulation(0, 1),)))
+    assert len(net.structure.open_slots) == 3
     assert net.n_reticulations == 1
 
 
-def test_forward_step_two_steps_by_hand():
-    state = nw.forward_step(ConstructionState(), (0, 1))
-    state = nw.forward_step(state, (2, 2))
-    net = Network(EventLog(state.events))
+def test_apply_two_steps_by_hand():
+    net = Network(EventLog((Reticulation(0, 1), Branching(2))))
     assert net.n_leaves == 4
     assert net.n_events == 3  # including the implicit initial branching
     assert net.n_reticulations == 1
 
 
-def test_forward_step_index_errors():
-    with pytest.raises(nw.EventLogError):
-        nw.forward_step(ConstructionState(), (0, 2))
-    with pytest.raises(nw.EventLogError):
-        nw.forward_step(ConstructionState(), (5, 5))
+def test_apply_index_errors():
+    for event in (Reticulation(0, 2), Branching(5)):
+        with pytest.raises(nw.EventLogError):
+            nw.EventStructure(network_root=True).apply(event)
+        with pytest.raises(nw.EventLogError):
+            Network(EventLog((event,)))
 
 
 def test_generate_two_leaves_is_unique():
@@ -139,6 +139,10 @@ def test_parse_error_reports_line():
     with pytest.raises(nw.ParseError) as err:
         nw.parse("RTCN v1 n=4\nR 0 1\nQ 2\n")
     assert err.value.line == 3
+    # an event the log cannot hold is reported on its own line
+    with pytest.raises(nw.ParseError) as err:
+        nw.parse("RTCN v1 n=6\nB 0\nB 1\nR 0 2\nR 0 9\n")
+    assert err.value.line == 5
     with pytest.raises(nw.ParseError):
         nw.parse("bogus header\n")
 
