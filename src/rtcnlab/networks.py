@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
-from .rng import CounterStream
+import numpy as np
+
+from .rng import CounterStream, stream_words
 
 ENUM_MAX_LEAVES = 9
 
@@ -388,6 +390,76 @@ def generate(n: int, seed: int, stream: int = 0) -> Network:
     return Network(EventLog(tuple(events)), structure)
 
 
+@dataclass(frozen=True)
+class LockstepBatch:
+    """m networks with n leaves grown together, as arrays.
+
+    Lineage slots have a fixed stride of three per event: lineage 0 is
+    the root edge and event e (event 0 is the initial branching)
+    produces lineages 3e+1, 3e+2 and 3e+3.  A branching's children are
+    3e+1 and 3e+2 and it leaves 3e+3 unused; a reticulation's outer
+    lineages are 3e+1 and 3e+2 and its middle lineage is 3e+3.  Up to
+    this relabelling of lineages, row r is the EventStructure of the
+    network generate grows on the row's stream.
+    """
+
+    kind: np.ndarray        # (m, n-1) bool, True for a reticulation
+    consumed: np.ndarray    # (m, n-1, 2) int32, -1 for a branching's second
+    consumer: np.ndarray    # (m, 3n-2) int32, -1 for an external lineage
+    open_slots: np.ndarray  # (m, n) int32, the final lineages in slot order
+
+
+def _step_slots(n: int, seed: int, streams: Sequence[int]) -> np.ndarray:
+    """(m, n-2, 3) slots written at each step: the pair (i, j) chosen by
+    generate's rule divmod(word % ell^2, ell), where i == j is a
+    branching, and the appended slot ell."""
+    ell = np.arange(2, n, dtype=np.uint64)
+    v = stream_words(seed, streams, n - 2)
+    v %= ell * ell
+    slots = np.empty(v.shape + (3,), dtype=np.intp)
+    np.divmod(v, ell, out=(slots[..., 0], slots[..., 1]), casting="unsafe")
+    slots[..., 2] = ell
+    return slots
+
+
+def generate_batch(n: int, seed: int, streams: Sequence[int]) -> LockstepBatch:
+    """The networks generate(n, seed, stream) for every stream, grown in
+    lockstep: each step applies the event of every row at once, from
+    the same words by the same rule."""
+    if n < 2:
+        raise ValueError("need at least 2 leaves")
+    m = len(streams)
+    slots = _step_slots(n, seed, streams)
+    kind = np.zeros((m, n - 1), dtype=bool)
+    kind[:, 1:] = slots[..., 0] != slots[..., 1]
+    # per step, the lineages written to the three slots: 3e+1, 3e+2 and
+    # 3e+3 for a reticulation; 3e+1, 3e+1 and 3e+2 for a branching
+    e = np.arange(1, n - 1, dtype=np.int32)
+    second = np.where(kind[:, 1:], 3 * e + 2, 3 * e + 1)
+    placed = np.stack((np.broadcast_to(3 * e + 1, second.shape), second,
+                       second + 1), axis=2)
+    # the initial branching consumes the root edge, lineage 0
+    consumed = np.zeros((m, n - 1, 2), dtype=np.int32)
+    open_slots = np.empty((m, n), dtype=np.int32)
+    open_slots[:, :2] = (1, 2)
+    rows = np.arange(m)[:, None]
+    # flat indices into open_slots: one index array per step is the
+    # cheapest fancy indexing when m is small (large n)
+    slots += n * rows[:, :, None]
+    flat_open = open_slots.ravel()
+    for step in range(n - 2):
+        consumed[:, step + 1] = flat_open[slots[:, step, :2]]
+        flat_open[slots[:, step]] = placed[:, step]
+    # the per-step tables are freed first: the batch's peak memory
+    # bounds the forward source's
+    del slots, second, placed
+    # a branching's second consumed entry still repeats its first here
+    consumer = np.full((m, 3 * n - 2), -1, dtype=np.int32)
+    consumer[rows[:, :, None], consumed] = np.arange(n - 1, dtype=np.int32)[:, None]
+    consumed[:, :, 1][~kind] = -1
+    return LockstepBatch(kind, consumed, consumer, open_slots)
+
+
 def history_count(n: int) -> int:
     return math.prod(ell * ell for ell in range(2, n))
 
@@ -451,15 +523,15 @@ def parse(text: str) -> Network:
         if not line.strip():
             continue
         parts = line.split()
+        if not ((parts[0] == "B" and len(parts) == 2)
+                or (parts[0] == "R" and len(parts) == 3)):
+            raise ParseError(f"unrecognized event line {line!r}", idx)
         try:
-            if parts[0] == "B" and len(parts) == 2:
-                events.append(Branching(int(parts[1])))
-            elif parts[0] == "R" and len(parts) == 3:
-                events.append(Reticulation(int(parts[1]), int(parts[2])))
-            else:
-                raise ParseError(f"unrecognized event line {line!r}", idx)
+            indices = [int(p) for p in parts[1:]]
         except ValueError:
             raise ParseError(f"bad index in {line!r}", idx) from None
+        events.append(Branching(*indices) if parts[0] == "B"
+                      else Reticulation(*indices))
         event_lines.append(idx)
     if len(events) != n - 2:
         raise ParseError(

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .networks import (Branching, Event, EventLogError, EventStructure,
                        Network, Reticulation, ROLE_RETIC_MIDDLE,
                        ROLE_RETIC_OUTER)
@@ -579,6 +581,92 @@ _FAST_COUNTERS = {
     "h3-ci": _count_h3_ci,
     "h3-cii": _count_h3_cii,
 }
+
+
+# -- the same counters over a lockstep batch -------------------------------
+
+
+class _BatchFringe:
+    """Per-event masks (m, n-1) of a LockstepBatch that the batch
+    counters sum.
+
+    cherry: a branching with both children external; full: a
+    reticulation with all three lineages external.  bp_x, ro_x and rm_x
+    hold where _branch_parent, _retic_parent_outer and _retic_parent_mid
+    of the event's first consumed lineage x are not None; the _y masks
+    are the same for the second one, y, and are meaningful only under
+    full (a branching's y is -1).  distinct: x and y come from different
+    events.  same_branch, b_iv and b_v: full reticulations whose x and y
+    come from one event, as in _count_a_ii, _count_b_iv and _count_b_v.
+    """
+
+    def __init__(self, batch):
+        ext = batch.consumer < 0
+        retic = batch.kind
+        branch = ~retic
+        c1, c2, c3 = ext[:, 1::3], ext[:, 2::3], ext[:, 3::3]
+        self.cherry = branch & c1 & c2
+        self.full = retic & c1 & c2 & c3
+        x, y = batch.consumed[:, :, 0], batch.consumed[:, :, 1]
+        # per lineage: bp at 3e+1 and 3e+2, ro at 3e+1 and 3e+2, rm at 3e+3
+        lineage = np.zeros_like(ext)
+        lineage[:, 1::3], lineage[:, 2::3] = branch & c2, branch & c1
+        self.bp_x, self.bp_y = _at(lineage, x), _at(lineage, y)
+        lineage[:, 1::3], lineage[:, 2::3] = retic & c2 & c3, retic & c1 & c3
+        self.ro_x, self.ro_y = _at(lineage, x), _at(lineage, y)
+        lineage[:, 1::3], lineage[:, 2::3] = False, False
+        lineage[:, 3::3] = retic & c1 & c2
+        self.rm_x, self.rm_y = _at(lineage, x), _at(lineage, y)
+        ev_x, ev_y = (x - 1) // 3, (y - 1) // 3
+        self.distinct = ev_x != ev_y
+        same = self.full & ~self.distinct
+        self.same_branch = same & ~_at(retic, ev_x)
+        same_retic = same & _at(retic, ev_x)
+        one_mid = (x % 3 == 0) | (y % 3 == 0)
+        # the lineage of the shared event that the reticulation left
+        rem = np.where(same_retic, 9 * ev_x + 6 - x - y, 0)
+        self.b_iv = same_retic & one_mid & _at(ext, rem)
+        self.b_v = same_retic & ~one_mid & _at(ext, 3 * ev_x + 3)
+
+
+def _at(a, idx):
+    """a[r, idx[r, k]] for a C-contiguous a.  An index of -1 reads some
+    other cell of a; the callers mask those entries out."""
+    rows, width = a.shape
+    return a.ravel()[idx + width * np.arange(rows)[:, None]]
+
+
+def _rowsum(*masks):
+    return sum(np.count_nonzero(mask, axis=1) for mask in masks)
+
+
+_BATCH_COUNTERS = {
+    "cherry": lambda f: _rowsum(f.cherry),
+    "trident": lambda f: _rowsum(f.full),
+    "a-i": lambda f: _rowsum(f.cherry & f.bp_x),
+    "a-ii": lambda f: _rowsum(f.same_branch),
+    "b-i": lambda f: _rowsum(f.full & f.bp_x, f.full & f.bp_y),
+    "b-ii": lambda f: _rowsum(f.cherry & f.ro_x),
+    "b-iii": lambda f: _rowsum(f.cherry & f.rm_x),
+    "b-iv": lambda f: _rowsum(f.b_iv),
+    "b-v": lambda f: _rowsum(f.b_v),
+    "c-i": lambda f: _rowsum(f.full & f.ro_x, f.full & f.ro_y),
+    "c-ii": lambda f: _rowsum(f.full & f.rm_x, f.full & f.rm_y),
+    "h3-bi": lambda f: _rowsum(f.full & f.bp_x & f.bp_y & f.distinct),
+    "h3-ci": lambda f: _rowsum(f.full & f.ro_x & f.ro_y & f.distinct),
+    "h3-cii": lambda f: _rowsum(f.full & f.rm_x & f.rm_y & f.distinct),
+}
+
+
+def count_batch(batch, pattern_ids) -> np.ndarray:
+    """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
+    on every network of a networks.LockstepBatch; row r equals
+    count_occurrences on the network of row r."""
+    f = _BatchFringe(batch)
+    out = np.empty((len(batch.kind), len(pattern_ids)), dtype=np.int64)
+    for k, pid in enumerate(pattern_ids):
+        out[:, k] = _BATCH_COUNTERS[pid](f)
+    return out
 
 
 # -- catalog ---------------------------------------------------------------

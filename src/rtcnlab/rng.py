@@ -14,9 +14,12 @@ _M64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # fixed second key word
 
 
+def _key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed & _M64, (_KEY_CONST ^ stream) & _M64], dtype=np.uint64)
+
+
 def _philox(seed: int, stream: int, counter: int) -> np.random.Philox:
-    key = np.array([seed & _M64, (_KEY_CONST ^ stream) & _M64], dtype=np.uint64)
-    return np.random.Philox(key=key, counter=counter)
+    return np.random.Philox(key=_key(seed, stream), counter=counter)
 
 
 def raw_block(seed: int, step: int, lo: int, hi: int, stream: int = 0) -> np.ndarray:
@@ -44,3 +47,19 @@ class CounterStream:
         """Words for steps 0..n_steps-1, in one generator call."""
         bg = _philox(self.seed, self.stream, 0)
         return bg.random_raw(4 * n_steps)[::4]
+
+
+def stream_words(seed: int, streams, n_steps: int) -> np.ndarray:
+    """(len(streams), n_steps) uint64 words; row s equals
+    CounterStream(seed, streams[s]).words(n_steps).
+
+    One generator is re-keyed per stream by assigning its state, which
+    is cheaper than constructing a generator per stream."""
+    bg = _philox(seed, 0, 0)
+    state = bg.state  # a copy: counter 0 and an empty buffer
+    out = np.empty((len(streams), n_steps), dtype=np.uint64)
+    for row, stream in zip(out, streams):
+        state["state"]["key"] = _key(seed, stream)
+        bg.state = state
+        row[:] = bg.random_raw(4 * n_steps)[::4]
+    return out

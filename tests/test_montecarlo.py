@@ -129,14 +129,17 @@ def test_run_experiment_trident_initial_and_small():
 
 
 def test_forward_source_is_generate_per_stream():
-    ids = ("cherry", "trident", "b-i")
-    cfg = mc.ExperimentConfig(source="forward", n=8, reps=64, seed=5,
-                              pattern_ids=ids)
-    want = Counter(
-        tuple(patterns.count_occurrences(networks.generate(8, 5, stream=r + 1),
-                                         pid) for pid in ids)
-        for r in range(64))
-    assert mc.run_experiment(cfg).histogram == dict(want)
+    ids = tuple(sorted(patterns.catalog()))
+    reps = 750  # not a multiple of 4; crosses a sub-batch boundary at n=30
+    assert reps > mc.FORWARD_CELLS // (3 * 30 - 2)
+    for n in (2, 3, 8, 30):
+        cfg = mc.ExperimentConfig(source="forward", n=n, reps=reps, seed=5,
+                                  pattern_ids=ids)
+        want = Counter(
+            tuple(patterns.count_occurrences(
+                networks.generate(n, 5, stream=r + 1), pid) for pid in ids)
+            for r in range(reps))
+        assert mc.run_experiment(cfg).histogram == dict(want), n
 
 
 def test_forward_source_thread_independent():
@@ -219,3 +222,6 @@ def test_config_validation():
         mc.ExperimentConfig(source="forward", n=10, reps=10, seed=0)
     with pytest.raises(ValueError):
         mc.ExperimentConfig(source="trident", n=1, reps=10, seed=0)
+    with pytest.raises(ValueError, match="'nope'"):
+        mc.ExperimentConfig(source="forward", n=10, reps=10, seed=0,
+                            pattern_ids=("cherry", "nope"))

@@ -61,6 +61,28 @@ def test_generate_determinism_large():
 def test_generate_rejects_small_n():
     with pytest.raises(ValueError):
         nw.generate(1, 0)
+    with pytest.raises(ValueError):
+        nw.generate_batch(1, 0, [1])
+
+
+def test_generate_batch_is_generate_relabelled():
+    for n in (2, 3, 9):
+        batch = nw.generate_batch(n, 7, range(1, 41))
+        for r in range(40):
+            s = nw.generate(n, 7, stream=r + 1).structure
+            # event e's k-th produced lineage sits in slot 3e+1+k
+            slot = {0: 0}
+            for e, produced in enumerate(s.produced):
+                for k, lineage in enumerate(produced):
+                    slot[lineage] = 3 * e + 1 + k
+            assert batch.kind[r].tolist() == [k == "R" for k in s.kinds]
+            assert batch.consumed[r].tolist() == [
+                [slot[l] for l in c] + [-1] * (2 - len(c)) for c in s.consumed]
+            consumer = [-1] * (3 * n - 2)
+            for lineage, e in enumerate(s.consumer):
+                consumer[slot[lineage]] = e
+            assert batch.consumer[r].tolist() == consumer
+            assert batch.open_slots[r].tolist() == [slot[l] for l in s.open_slots]
 
 
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**63 - 1))
@@ -139,6 +161,7 @@ def test_parse_error_reports_line():
     with pytest.raises(nw.ParseError) as err:
         nw.parse("RTCN v1 n=4\nR 0 1\nQ 2\n")
     assert err.value.line == 3
+    assert str(err.value) == "line 3: unrecognized event line 'Q 2'"
     # an event the log cannot hold is reported on its own line
     with pytest.raises(nw.ParseError) as err:
         nw.parse("RTCN v1 n=6\nB 0\nB 1\nR 0 2\nR 0 9\n")
