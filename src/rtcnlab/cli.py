@@ -29,6 +29,10 @@ class UsageError(Exception):
     pass
 
 
+class InputError(Exception):
+    """A file that cannot be read or written: exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -41,7 +45,7 @@ def _digest(data: bytes) -> str:
 def _emit(payload: str, out: str | None, manifest: dict) -> None:
     outputs = {}
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        _write(out, payload)
         outputs[out] = _digest(payload.encode())
     else:
         sys.stdout.write(payload)
@@ -49,9 +53,16 @@ def _emit(payload: str, out: str | None, manifest: dict) -> None:
     manifest["outputs"] = outputs
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out + ".manifest.json").write_text(text, encoding="utf-8")
+        _write(out + ".manifest.json", text)
     else:
         sys.stderr.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _manifest(subcommand: str, config: dict) -> dict:
@@ -122,6 +133,8 @@ def cmd_verify(args) -> int:
         report = verify.run_suite(args.suite, opts)
     except KeyError:
         raise UsageError(f"unknown suite {args.suite!r}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {exc.filename}: {exc}") from None
     payload = _json_dump(report.to_dict())
     cfg = {"suite": args.suite, "seed": args.seed, "threads": args.threads,
            "reps": args.reps, "leaves": args.leaves,
@@ -216,6 +229,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except InputError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_INVALID_INPUT
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID_INPUT

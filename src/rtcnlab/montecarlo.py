@@ -10,6 +10,7 @@ integer addition.  Every statistic is derived from that histogram.
 
 from __future__ import annotations
 
+import ast
 import math
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -69,7 +70,10 @@ class SampleSummary:
     histogram: Dict[Tuple[int, ...], int]
 
     def __post_init__(self):
-        assert sum(self.histogram.values()) == self.reps
+        total = sum(self.histogram.values())
+        if total != self.reps:
+            raise ValueError(f"histogram holds {total} replications, "
+                             f"reps is {self.reps}")
         self.power_sums = [
             [sum(key[i] ** p * w for key, w in self.histogram.items())
              for p in range(7)]
@@ -187,62 +191,408 @@ class FitReport:
 
 # -- chain engine ------------------------------------------------------------
 
+# A linear form kn*n + ka*a + kb*b + kc*c + k0 is the tuple
+# (kn, ka, kb, kc, k0).  A numerator is a sum of products: a dict from a
+# sorted tuple of forms (the empty tuple is the constant 1) to its integer
+# coefficient.
+_FORM_VARS = ("n", "a", "b", "c")
+_ONE = (0, 0, 0, 0, 1)
+
+
+def _form_sop(form: Tuple[int, ...]) -> Dict[tuple, int]:
+    """One linear form as a sum of products, with its gcd and the sign of
+    its first nonzero coefficient moved into the coefficient."""
+    g = math.gcd(*form)
+    if g == 0:
+        return {}
+    scale = g if next(x for x in form if x) > 0 else -g
+    prim = tuple(x // scale for x in form)
+    return {() if prim == _ONE else (prim,): scale}
+
+
+def _as_form(sop: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
+    """The linear form a sum of products equals, or None if it has a
+    product of two or more forms."""
+    total = [0] * 5
+    for prod, coef in sop.items():
+        if len(prod) > 1:
+            return None
+        for i, x in enumerate(prod[0] if prod else _ONE):
+            total[i] += coef * x
+    return tuple(total)
+
+
+def _add_terms(out: Dict[tuple, int], sop: Dict[tuple, int],
+               sign: int = 1) -> Dict[tuple, int]:
+    for prod, coef in sop.items():
+        coef = out.get(prod, 0) + sign * coef
+        if coef:
+            out[prod] = coef
+        else:
+            out.pop(prod, None)
+    return out
+
+
+def _sop(node, names) -> Dict[tuple, int]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return _form_sop((0, 0, 0, 0, node.value))
+    if isinstance(node, ast.Name) and node.id in _FORM_VARS:
+        if node.id not in names:
+            return {}
+        return _form_sop(tuple(int(node.id == v) for v in _FORM_VARS) + (0,))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {p: -c for p, c in _sop(node.operand, names).items()}
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult)):
+        left, right = _sop(node.left, names), _sop(node.right, names)
+        if isinstance(node.op, ast.Mult):
+            out: Dict[tuple, int] = {}
+            for p, c in left.items():
+                for q, d in right.items():
+                    _add_terms(out, {tuple(sorted(p + q)): c * d})
+            return out
+        sign = 1 if isinstance(node.op, ast.Add) else -1
+        lf, rf = _as_form(left), _as_form(right)
+        if lf is not None and rf is not None:
+            return _form_sop(tuple(x + sign * y for x, y in zip(lf, rf)))
+        return _add_terms(dict(left), right, sign)
+    raise chains.TableError(f"unsupported numerator syntax {ast.dump(node)}")
+
+
+def _sum_of_products(text: str, names=_FORM_VARS) -> Dict[tuple, int]:
+    """A numerator as a sum of coefficient x product of linear forms.  A
+    sum of linear forms stays one form; only non-linear sums are
+    distributed.  Variables outside names are zero."""
+    return _sop(ast.parse(text, mode="eval").body, names)
+
+
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_at(poly: Sequence[int], n: int) -> int:
+    """sum(poly[k] * n**k)."""
+    value = 0
+    for coef in reversed(poly):
+        value = value * n + coef
+    return value
+
+
+def _ceil_abs(x) -> int:
+    return -(-abs(x) // 1)
+
+
+# instructions of a compiled step
+_LIN, _SHIFT, _PROD, _TERM, _CONST, _COUNT = range(6)
+
 
 class _CompiledChain:
+    """The Monte Carlo kernel of one transition table, compiled once.
+
+    Each numerator is rewritten as a sum of coefficient x product of
+    linear forms in (n, a, b, c).  A step evaluates every distinct linear
+    form and product over the state once for the whole block (what
+    depends on n alone is a Python int) and accumulates the numerators of
+    each group (the rules sharing a change vector, in order of first
+    appearance) into one running sum cum; a replication with draw v takes
+    the group numbered #{g : cum_g <= v}.  The arithmetic is int32 when
+    magnitude_bound shows that no value can reach 2^31, else int64.
+
+    The plan: parts are the distinct combinations of the state rows,
+    factors the distinct forms with a state part, each
+    (part, sign, kn, k0) = sign * part + kn*n + k0, bases the distinct
+    products of factors (tuples of factor indices), and each group a
+    tuple of (base, coefficient polynomial in n), base None for the term
+    that depends on n alone.  program lists one step's instructions in
+    order of first use; a value's buffer is reused after its last use.
+    """
+
     def __init__(self, table: chains.TransitionTable):
         self.table = table
-        groups: Dict[Tuple[int, ...], list] = {}
+        k = len(table.components)
+        sops: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
         for rule in table.rules:
-            groups.setdefault(rule.delta, []).append(rule.numerator)
-        self.deltas = np.array(list(groups.keys()), dtype=np.int64)
-        self.numerators = list(groups.values())
+            _add_terms(sops.setdefault(rule.delta, {}),
+                       _sum_of_products(rule.numerator_text, _FORM_VARS[:k + 1]))
+        self.deltas = np.array(list(sops), dtype=np.int64)
         self.footprints = np.array(
             [table.footprints[c] for c in table.components], dtype=np.int64)
-        obs_names = list(table.observables)
-        self.obs_names = tuple(obs_names)
-        self.obs_fns = [table.observables[name] for name in obs_names]
+        self.parts: List[Tuple[int, ...]] = []
+        self.factors: List[Tuple[int, int, int, int]] = []
+        self.bases: List[Tuple[int, ...]] = []
+        self.groups = [self._compile_group(sop, k) for sop in sops.values()]
+        self.program, self.n_buffers = self._compile_program(k)
+        self.obs_names = tuple(table.observables)
+        self.obs_fns = [table.observables[name] for name in self.obs_names]
+
+    @staticmethod
+    def _index(items: list, item) -> int:
+        if item not in items:
+            items.append(item)
+        return items.index(item)
+
+    def _compile_group(self, sop: Dict[tuple, int], k: int) -> tuple:
+        polys: Dict[Optional[int], List[int]] = {}
+        for prod, coef in sop.items():
+            poly, base = [coef], []
+            for form in prod:
+                w = form[1:1 + k]
+                if not any(w):
+                    poly = _poly_mul(poly, (form[4], form[0]))
+                    continue
+                sign = 1 if next(x for x in w if x) > 0 else -1
+                part = self._index(self.parts, tuple(sign * x for x in w))
+                base.append(self._index(self.factors,
+                                        (part, sign, form[0], form[4])))
+            key = self._index(self.bases, tuple(sorted(base))) if base else None
+            acc = polys.setdefault(key, [])
+            acc.extend([0] * (len(poly) - len(acc)))
+            for i, x in enumerate(poly):
+                acc[i] += x
+        # the n-only term last: one scalar add after the array terms
+        terms = [(b, tuple(p)) for b, p in polys.items()
+                 if b is not None and any(p)]
+        if any(polys.get(None, ())):
+            terms.append((None, tuple(polys[None])))
+        return tuple(terms)
+
+    def _compile_program(self, k: int):
+        """(instructions, buffer count).  Registers 0..k-1 are the state
+        rows; the others are buffers, each given to a value at its
+        definition and freed after the value's last use."""
+        code: list = []
+        regs: Dict[tuple, int] = {}
+
+        def define(key, ins_of):
+            regs[key] = k + len(regs)
+            code.append(ins_of(regs[key]))
+            return regs[key]
+
+        def part(i):
+            p = self.parts[i]
+            if p.count(1) == 1 and p.count(0) == k - 1:
+                return p.index(1)
+            if ("part", i) in regs:
+                return regs[("part", i)]
+            return define(("part", i), lambda r: (_LIN, r, p))
+
+        def factor(i):
+            p, sign, kn, k0 = self.factors[i]
+            src = part(p)
+            if sign > 0 and not (kn or k0):
+                return src
+            if ("factor", i) in regs:
+                return regs[("factor", i)]
+            return define(("factor", i),
+                          lambda r: (_SHIFT, r, src, sign, kn, k0))
+
+        def base(i):
+            fs = self.bases[i]
+            if len(fs) == 1:
+                return factor(fs[0])
+            if ("base", i) in regs:
+                return regs[("base", i)]
+            srcs = tuple(factor(f) for f in fs)
+            return define(("base", i), lambda r: (_PROD, r, srcs))
+
+        for g, terms in enumerate(self.groups):
+            for b, poly in terms:
+                code.append((_CONST, poly) if b is None
+                            else (_TERM, base(b), poly))
+            if g < len(self.groups) - 1:
+                code.append((_COUNT,))
+
+        def reads(ins):
+            if ins[0] == _SHIFT:
+                return {ins[2]}
+            if ins[0] == _PROD:
+                return set(ins[2])
+            if ins[0] == _TERM:
+                return {ins[1]}
+            return set()
+
+        last = {r: i for i, ins in enumerate(code) for r in reads(ins)}
+        phys = {r: r for r in range(k)}
+        free: List[int] = []
+        n_buffers = 0
+        program = []
+        for i, ins in enumerate(code):
+            op = ins[0]
+            if op in (_LIN, _SHIFT, _PROD):  # defines register ins[1]
+                if not free:
+                    free.append(k + n_buffers)
+                    n_buffers += 1
+                phys[ins[1]] = free.pop()
+            if op == _SHIFT:
+                ins = (op, phys[ins[1]], phys[ins[2]]) + ins[3:]
+            elif op == _PROD:
+                ins = (op, phys[ins[1]], tuple(phys[r] for r in ins[2]))
+            elif op in (_LIN, _TERM):
+                ins = (op, phys[ins[1]], ins[2])
+            program.append(ins)
+            free += [phys[r] for r in reads(code[i])
+                     if r >= k and last[r] == i]
+        return tuple(program), n_buffers
+
+    def magnitude_bound(self, n_target: int):
+        """An upper bound on the absolute value of every integer that
+        run_block(n_target, ...) forms on a valid table: draws, parts,
+        factors, products, terms, running sums, states and loads.
+
+        run_block checks after each step that the new state is feasible,
+        so every state it evaluates at step n satisfies state >= 0 and
+        footprints . state <= n, provided the initial state does at n = 2.
+        A linear form is then bounded by its largest absolute value at
+        the vertices of that simplex for n = 2 and for the last step.
+        Infinite when a footprint is not positive or the initial state is
+        infeasible."""
+        fps = [int(x) for x in self.footprints]
+        init = self.table.initial
+        if min(fps) <= 0 or min(init) < 0 or \
+                sum(f * x for f, x in zip(fps, init)) > 2:
+            return math.inf
+        top = max(2, n_target - 1)
+        k = len(fps)
+        s_max = [Fraction(top, f) for f in fps]
+        vertices = [(n, [Fraction(0)] * k) for n in (2, top)]
+        vertices += [(n, [Fraction(n, f) if i == j else 0
+                          for j, f in enumerate(fps)])
+                     for n in (2, top) for i in range(k)]
+        bounds = [top * top]
+        for part in self.parts:
+            bounds.append(_ceil_abs(sum(abs(w) * s for w, s in zip(part, s_max))))
+        fac = []
+        for part, sign, kn, k0 in self.factors:
+            fac.append(max(_ceil_abs(kn * n + k0 + sign * sum(
+                w * s for w, s in zip(self.parts[part], state)))
+                for n, state in vertices))
+        bounds += fac
+        base_bound = []
+        for base in self.bases:
+            prod = 1
+            for i in base:
+                prod *= fac[i]
+                bounds.append(prod)
+            base_bound.append(prod)
+        running = 0
+        for terms in self.groups:
+            for base, poly in terms:
+                coef = sum(abs(p) * top ** i for i, p in enumerate(poly))
+                term = coef * (1 if base is None else base_bound[base])
+                bounds += [coef, term]
+                running += term
+        bounds.append(running)
+        step = np.abs(self.deltas).max(axis=0) if len(self.deltas) else [0] * k
+        states = [_ceil_abs(s) + int(d) for s, d in zip(s_max, step)]
+        bounds += states
+        bounds.append(sum(f * s for f, s in zip(fps, states)))
+        return max(bounds)
 
     def run_block(self, n_target: int, seed: int, lo: int, hi: int) -> np.ndarray:
         m = hi - lo
         k = len(self.table.components)
-        state = np.empty((k, m), dtype=np.int64)
-        for i, v in enumerate(self.table.initial):
-            state[i, :] = v
-        names = ("a", "b", "c")
+        dt = np.int32 if self.magnitude_bound(n_target) < 2 ** 31 else np.int64
+        state = np.empty((k, m), dtype=dt)
+        state[:] = np.array(self.table.initial, dtype=dt)[:, None]
+        deltas = self.deltas.T.astype(dt)
+        regs = list(state) + [np.empty(m, dt) for _ in range(self.n_buffers)]
+        cum, tmp, v = np.empty(m, dt), np.empty(m, dt), np.empty(m, dt)
+        mask = np.empty(m, dtype=bool)
+        cnt = np.empty(m, dtype=np.uint8 if len(self.groups) <= 256 else np.intp)
         for n in range(2, n_target):
             nn = n * n
-            v = (raw_block(seed, n, lo, hi) % nn).astype(np.int64)
-            kw = {names[i]: state[i] for i in range(k)}
-            cum = np.zeros(m, dtype=np.int64)
-            idx = np.zeros(m, dtype=np.int64)
-            for fns in self.numerators:
-                num = fns[0](n, **kw)
-                for fn in fns[1:]:
-                    num = num + fn(n, **kw)
-                cum += num
-                idx += v >= cum
+            raw = raw_block(seed, n, lo, hi)
+            q = raw // nn  # raw - q * nn is raw % nn, and faster
+            q *= nn
+            raw -= q
+            v[:] = raw
+            cum.fill(0)
+            cnt.fill(0)
+            for ins in self.program:
+                op = ins[0]
+                if op == _TERM:
+                    c = _poly_at(ins[2], n)
+                    if c == 1:
+                        np.add(cum, regs[ins[1]], out=cum)
+                    elif c == -1:
+                        np.subtract(cum, regs[ins[1]], out=cum)
+                    elif c:
+                        np.multiply(regs[ins[1]], c, out=tmp)
+                        np.add(cum, tmp, out=cum)
+                elif op == _COUNT:
+                    np.less_equal(cum, v, out=mask)
+                    np.add(cnt, mask.view(np.uint8), out=cnt)
+                elif op == _PROD:
+                    out, srcs = regs[ins[1]], ins[2]
+                    np.multiply(regs[srcs[0]], regs[srcs[1]], out=out)
+                    for r in srcs[2:]:
+                        np.multiply(out, regs[r], out=out)
+                elif op == _SHIFT:
+                    _, dst, src, sign, kn, k0 = ins
+                    if sign > 0:
+                        np.add(regs[src], kn * n + k0, out=regs[dst])
+                    else:
+                        np.subtract(kn * n + k0, regs[src], out=regs[dst])
+                elif op == _LIN:
+                    _combine(state, ins[2], regs[ins[1]], tmp)
+                else:  # _CONST
+                    np.add(cum, _poly_at(ins[1], n), out=cum)
+            # no count after the last group: its running sum is n^2 > v
             if not (cum == nn).all():
                 raise chains.TableError(
                     f"table {self.table.name}: numerators do not sum to n^2 "
                     f"at n={n}; transcription suspect")
-            for i in range(k):
-                state[i] += self.deltas[idx, i]
-            load = self.footprints @ state
-            if (load > n + 1).any() or (state < 0).any():
+            for row, d in zip(state, deltas):
+                # cnt < len(deltas) by construction: clipping changes nothing
+                np.take(d, cnt, out=tmp, mode="clip")
+                np.add(row, tmp, out=row)
+            load = _combine(state, self.footprints, cum, tmp)
+            if load.max() > n + 1 or state.min() < 0:
                 raise chains.TableError(
                     f"table {self.table.name}: infeasible state at n={n + 1}")
         obs = np.empty((len(self.obs_fns), m), dtype=np.int64)
-        kw = {names[i]: state[i] for i in range(k)}
+        kw = dict(zip(("a", "b", "c"), state.astype(np.int64)))
         for i, fn in enumerate(self.obs_fns):
             obs[i] = fn(0, **kw)
         return obs.T
 
 
+def _combine(rows: np.ndarray, coefs, out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """out = sum(coef * row) over the rows; tmp is scratch."""
+    first = True
+    for row, w in zip(rows, coefs):
+        if not w:
+            continue
+        if first:
+            np.multiply(row, w, out=out)
+            first = False
+        elif w == 1:
+            np.add(out, row, out=out)
+        elif w == -1:
+            np.subtract(out, row, out=out)
+        else:
+            np.multiply(row, w, out=tmp)
+            np.add(out, tmp, out=out)
+    if first:
+        out.fill(0)
+    return out
+
+
 def _merge_counts(target: Dict[Tuple[int, ...], int], rows: np.ndarray) -> None:
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    for row, cnt in zip(uniq, counts):
-        key = tuple(int(x) for x in row)
-        target[key] = target.get(key, 0) + int(cnt)
+    """Add the distinct rows to target in sorted order (as np.unique
+    with axis=0 would give them), with their counts."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first = np.flatnonzero(start)
+    counts = np.diff(np.append(first, len(rows)))
+    for key, cnt in zip(map(tuple, rows[first].tolist()), counts.tolist()):
+        target[key] = target.get(key, 0) + cnt
 
 
 def _map_chunks(work: Callable[[int, int], np.ndarray], reps: int,

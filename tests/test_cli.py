@@ -178,3 +178,20 @@ def test_manifest_replay_reproduces_output(tmp_path):
         (tmp_path / "replay.events.manifest.json").read_text())
     assert manifest["outputs"][str(out)] == \
         replay_manifest["outputs"][str(replay_out)]
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "net.events"
+    assert run(["generate", "--leaves", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_missing_sigma_file_is_input_error(tmp_path, capsys):
+    sigma = tmp_path / "missing.json"
+    assert run(["verify", "--suite", "moments",
+                "--sigma-file", str(sigma)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {sigma}: ")
+    assert len(err.splitlines()) == 1

@@ -1,11 +1,13 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtcnlab import chains, gof, montecarlo as mc, networks, patterns
+from rtcnlab import chains, gof, montecarlo as mc, networks, patterns, rng
 
 
 # frozen reference values for the chi-square survival function
@@ -225,3 +227,153 @@ def test_config_validation():
     with pytest.raises(ValueError, match="'nope'"):
         mc.ExperimentConfig(source="forward", n=10, reps=10, seed=0,
                             pattern_ids=("cherry", "nope"))
+
+
+def test_summary_rejects_histogram_of_wrong_size():
+    with pytest.raises(ValueError, match="3 replications"):
+        mc.SampleSummary(components=("x",), n=0, reps=4, seed=0,
+                         source="synthetic", histogram={(0,): 2, (1,): 1})
+
+
+# -- chain kernel -------------------------------------------------------------
+
+
+def _reference_rows(table, n_target, seed, reps):
+    """Chain walk per replication with Python ints: the same raw_block
+    words, each rule's numerator evaluated on its own, groups (rules
+    sharing a change vector) in order of first appearance, and the group
+    taken numbered #{g : cum_g <= v}."""
+    groups = {}
+    for rule in table.rules:
+        groups.setdefault(rule.delta, []).append(rule.numerator)
+    deltas = list(groups)
+    states = [list(table.initial) for _ in range(reps)]
+    hi = (reps + 3) // 4 * 4
+    for n in range(2, n_target):
+        words = rng.raw_block(seed, n, 0, hi).tolist()
+        for state, word in zip(states, words):
+            v = word % (n * n)
+            kw = table.state_kwargs(state)
+            cum = taken = 0
+            for fns in groups.values():
+                cum += sum(fn(n, **kw) for fn in fns)
+                taken += v >= cum
+            state[:] = [x + d for x, d in zip(state, deltas[taken])]
+    return [tuple(table.observe(s).values()) for s in states]
+
+
+def _kernel_rows(table, n_target, seed, reps):
+    kernel = mc._CompiledChain(table)
+    return [tuple(r) for r in
+            kernel.run_block(n_target, seed, 0, (reps + 3) // 4 * 4)[:reps].tolist()]
+
+
+def test_kernel_matches_scalar_reference_on_every_table(tmp_path):
+    reps = 37  # not a multiple of 4
+    for cid in chains.BUILTIN_IDS:
+        table = chains.builtin_table(cid)
+        assert mc._CompiledChain(table).magnitude_bound(2000) < 2 ** 31, cid
+        for n in (2, 3, 6, 17, 40):
+            want = _reference_rows(table, n, 8, reps)
+            assert _kernel_rows(table, n, 8, reps) == want, (cid, n)
+        path = tmp_path / f"{cid}.csv"
+        mc.run_experiment(mc.ExperimentConfig(source=cid, n=40, reps=reps,
+                                              seed=8), raw_csv=str(path))
+        lines = path.read_text().splitlines()[1:]
+        assert [tuple(int(x) for x in l.split(",")[1:]) for l in lines] == want
+
+
+def test_kernel_int64_branch(tmp_path):
+    # the second running sum is n^2 + a * (3e9 - 1), beyond int32 once
+    # a > 0; the negative third numerator brings the last one back to n^2
+    doc = {"name": "wide", "components": ["a"], "footprints": {"a": 1},
+           "initial": {"a": 0}, "observables": {"a": "a"},
+           "rules": [
+               {"event": "e", "case": "up", "delta": {"a": 1},
+                "numerator": "n - a"},
+               {"event": "e", "case": "stay", "delta": {"a": 0},
+                "numerator": "3000000000*a + n*n - n"},
+               {"event": "e", "case": "down", "delta": {"a": -1},
+                "numerator": "a - 3000000000*a"}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    table = chains.load_table(path)
+    assert mc._CompiledChain(table).magnitude_bound(30) >= 2 ** 31
+    want = _reference_rows(table, 30, 2, 41)
+    assert max(want)[0] > 0
+    assert _kernel_rows(table, 30, 2, 41) == want
+
+
+def _eval_sop(sop, point):
+    total = 0
+    for prod, coef in sop.items():
+        for form in prod:
+            coef *= sum(k * x for k, x in zip(form, point + (1,)))
+        total += coef
+    return total
+
+
+_numerators = st.recursive(
+    st.one_of(st.sampled_from("nabc"), st.integers(0, 12).map(str)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"-{e}")),
+    max_leaves=7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(texts=st.lists(_numerators, min_size=1, max_size=3),
+       fps=st.tuples(*[st.integers(1, 7)] * 3),
+       n_target=st.integers(3, 3000), data=st.data())
+def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
+    """The rewrite equals eval, and magnitude_bound dominates every value
+    the kernel forms at feasible states."""
+    fns = [chains._compile_poly(t) for t in texts]
+    for _ in range(5):
+        point = tuple(data.draw(st.integers(-50, 50)) for _ in range(4))
+        for text, fn in zip(texts, fns):
+            assert _eval_sop(mc._sum_of_products(text), point) == fn(*point)
+    rules = [chains.TransitionRule("e", str(i), (i, 0, 0), fn, text)
+             for i, (text, fn) in enumerate(zip(texts, fns))]
+    table = chains.TransitionTable(
+        name="h", description="", components=("a", "b", "c"),
+        footprints=dict(zip("abc", fps)), initial=(0, 0, 0), rules=rules,
+        observables={"a": chains._compile_poly("a")})
+    kernel = mc._CompiledChain(table)
+    bound = kernel.magnitude_bound(n_target)
+    for _ in range(5):
+        n = data.draw(st.integers(2, max(2, n_target - 1)))
+        state, budget = [], n
+        for f in fps:
+            state.append(data.draw(st.integers(0, budget // f)))
+            budget -= f * state[-1]
+        values = [n * n]
+        parts = []
+        for part in kernel.parts:
+            acc = 0
+            for w, x in zip(part, state):
+                acc += w * x
+                values += [w * x, acc]
+            parts.append(acc)
+        facs = [sign * parts[p] + kn * n + k0
+                for p, sign, kn, k0 in kernel.factors]
+        values += facs
+        bases = []
+        for base in kernel.bases:
+            prod = 1
+            for i in base:
+                prod *= facs[i]
+                values.append(prod)
+            bases.append(prod)
+        cum = 0
+        for fn, terms in zip(fns, kernel.groups):
+            group = 0
+            for base, poly in terms:
+                c = mc._poly_at(poly, n)
+                term = c * (1 if base is None else bases[base])
+                group += term
+                cum += term
+                values += [c, term, cum]
+            assert group == fn(n, *state)
+        assert max(abs(x) for x in values) <= bound
