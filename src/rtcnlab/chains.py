@@ -20,6 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 _DATA_DIR = Path(__file__).parent / "data" / "chains"
 
 BUILTIN_IDS = ("trident", "a-i", "a-ii", "b-i", "b-ii", "b-iii",
@@ -167,49 +169,139 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+def _magnitude_bound(text: str, v: int) -> int:
+    """An upper bound on the absolute value of every subexpression of a
+    numerator when |n|, |a|, |b|, |c| <= v."""
+    bounds = []
+
+    def rec(node) -> int:
+        if isinstance(node, ast.Constant):
+            b = abs(node.value)
+        elif isinstance(node, ast.Name):
+            b = v
+        elif isinstance(node, ast.UnaryOp):
+            b = rec(node.operand)
+        elif isinstance(node.op, ast.Mult):
+            b = rec(node.left) * rec(node.right)
+        else:
+            b = rec(node.left) + rec(node.right)
+        bounds.append(b)
+        return b
+
+    rec(ast.parse(text, mode="eval").body)
+    return max(bounds)
+
+
+def _grid_dtype(table: TransitionTable, n_target: int):
+    """int64 when no value exact_distribution(table, n_target) forms on
+    its coordinate grids can reach 2^63, else object (Python ints).
+
+    Every state the law reaches is the initial state plus at most
+    n_target - 2 change vectors, and a box cell lies between reached
+    states, so each coordinate, and each n, is at most v in absolute
+    value.  The sum of the rules' subexpression bounds at v then covers
+    every subexpression, group sum and total; the load bound covers the
+    feasibility check."""
+    step = max((abs(d) for rule in table.rules for d in rule.delta), default=0)
+    v = max([n_target] + [abs(x) + (n_target - 2) * step
+                          for x in table.initial])
+    bound = max(sum(_magnitude_bound(rule.numerator_text, v)
+                    for rule in table.rules),
+                sum(abs(f) for f in table.footprints.values()) * v)
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _state_at(mask: np.ndarray, origin: np.ndarray) -> Tuple[int, ...]:
+    """The first state, in C order of the box, where mask holds."""
+    return tuple(int(x) for x in np.argwhere(mask)[0] + origin)
+
+
 def exact_distribution(table: TransitionTable, n_target: int,
                        max_states: int = 2_000_000) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the tracked count vector at n_target leaves.
 
-    Probabilities are propagated as integers over the common denominator
-    prod_{ell=2}^{n-1} ell^2 and reduced only at the end.
+    The law is an object array of Python-int weights over the bounding
+    box of its support (origin is the box's lowest state), over the
+    common denominator prod_{ell=2}^{n-1} ell^2, reduced only at the end.
+    A step evaluates each rule's numerator once on the box's coordinate
+    grids, sums the rules that share a change vector and adds weights x
+    sum into the grown box at that vector's offset, then trims the edges
+    that hold no mass.  Box cells outside the support carry no mass, so
+    the checks (negative numerator, sum != n^2, infeasible state) apply
+    to the support only.
     """
     if n_target < 2:
         raise ValueError("need n_target >= 2")
-    dist: Dict[Tuple[int, ...], int] = {table.initial: 1}
+    k = len(table.components)
+    dtype = _grid_dtype(table, n_target)
+    groups: Dict[Tuple[int, ...], List[TransitionRule]] = {}
+    for rule in table.rules:
+        groups.setdefault(rule.delta, []).append(rule)
+    deltas = np.array(list(groups), dtype=np.int64).reshape(-1, k)
+    lo = deltas.min(axis=0, initial=0)
+    grow = deltas.max(axis=0, initial=0) - lo
+    offsets = deltas - lo
+    fps = np.array([table.footprints[c] for c in table.components],
+                   dtype=dtype).reshape((k,) + (1,) * k)
+
+    def grids(origin, shape):
+        return (np.indices(shape) + origin.reshape((k,) + (1,) * k)).astype(dtype)
+
+    weights = np.ones((1,) * k, dtype=object)
+    live = np.ones((1,) * k, dtype=bool)
+    origin = np.array(table.initial, dtype=np.int64)
+    coords = grids(origin, live.shape)
     scale = 1
     for n in range(2, n_target):
         nn = n * n
-        new: Dict[Tuple[int, ...], int] = {}
-        for state, weight in dist.items():
-            kw = table.state_kwargs(state)
-            total = 0
-            for rule in table.rules:
-                num = rule.numerator(n, **kw)
-                if num == 0:
-                    continue
-                if num < 0:
+        kw = table.state_kwargs(coords)
+        new = np.zeros(tuple(live.shape + grow), dtype=object)
+        reached = np.zeros(new.shape, dtype=bool)
+        total = 0
+        for rules, offset in zip(groups.values(), offsets):
+            num = 0
+            for rule in rules:
+                part = rule.numerator(n, **kw)
+                negative = live & (part < 0)
+                if negative.any():
                     raise TableError(
-                        f"negative numerator at n={n} state={state} "
+                        f"negative numerator at n={n} "
+                        f"state={_state_at(negative, origin)} "
                         f"rule [{rule.event}/{rule.case}]")
-                total += num
-                nxt = tuple(x + d for x, d in zip(state, rule.delta))
-                new[nxt] = new.get(nxt, 0) + weight * num
-            if total != nn:
-                raise TableError(
-                    f"table {table.name}: numerators sum to {total} != n^2 "
-                    f"at n={n}, state={state}; transcription suspect")
-        dist = new
+                num = num + part
+            total = total + num
+            fires = live & (num != 0)
+            if not fires.any():
+                continue
+            at = tuple(slice(d, d + s) for d, s in zip(offset, live.shape))
+            new[at] += weights * num
+            reached[at] |= fires
+        wrong = live & (total != nn)
+        if wrong.any():
+            raise TableError(
+                f"table {table.name}: numerators sum to "
+                f"{np.broadcast_to(total, live.shape)[wrong][0]} != n^2 "
+                f"at n={n}, state={_state_at(wrong, origin)}; "
+                f"transcription suspect")
         scale *= nn
-        if len(dist) > max_states:
+        hit = np.nonzero(reached)
+        if len(hit[0]) > max_states:
             raise BudgetExceeded(
-                f"{len(dist)} states at n={n + 1} exceeds budget {max_states}")
-        for state in dist:
-            if not table.feasible(n + 1, state):
-                raise TableError(
-                    f"table {table.name}: infeasible state {state} at "
-                    f"n={n + 1}; transcription suspect")
-    return {state: Fraction(w, scale) for state, w in dist.items()}
+                f"{len(hit[0])} states at n={n + 1} exceeds budget {max_states}")
+        keep = tuple(slice(i.min(), i.max() + 1) for i in hit)
+        weights, live = new[keep], reached[keep]
+        origin = origin + lo + [s.start for s in keep]
+        coords = grids(origin, live.shape)
+        infeasible = live & ((coords < 0).any(axis=0)
+                             | ((fps * coords).sum(axis=0) > n + 1))
+        if infeasible.any():
+            raise TableError(
+                f"table {table.name}: infeasible state "
+                f"{_state_at(infeasible, origin)} at n={n + 1}; "
+                f"transcription suspect")
+    idx = np.nonzero(live)
+    states = (np.stack(idx, axis=1) + origin).tolist()
+    return {tuple(s): Fraction(w, scale) for s, w in zip(states, weights[idx])}
 
 
 def observed_distribution(table: TransitionTable, n_target: int,

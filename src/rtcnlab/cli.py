@@ -122,6 +122,10 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     if args.reps is not None and args.reps < 2:
         raise UsageError("--reps must be at least 2")
+    if args.leaves is not None and args.leaves < 2:
+        raise UsageError("--leaves must be at least 2")
+    if args.threads < 1:
+        raise UsageError("--threads (default RTCN_THREADS) must be at least 1")
     opts = {"seed": args.seed, "threads": args.threads}
     if args.reps is not None:
         opts["reps"] = args.reps
@@ -153,8 +157,12 @@ def cmd_classify(args) -> int:
     else:
         try:
             spec = patterns.load_pattern_file(args.pattern_file)
-        except (OSError, ValueError, KeyError) as exc:
-            sys.stderr.write(f"cannot load pattern: {exc}\n")
+        except KeyError as exc:
+            sys.stderr.write(f"cannot load pattern {args.pattern_file}: "
+                             f"missing key {exc}\n")
+            return EXIT_INVALID_INPUT
+        except (OSError, ValueError, TypeError) as exc:
+            sys.stderr.write(f"cannot load pattern {args.pattern_file}: {exc}\n")
             return EXIT_INVALID_INPUT
     try:
         result = conjecture.classify(spec, args.base_mode)

@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.source != "forward" and self.source not in chains.BUILTIN_IDS:
             raise ValueError(f"unknown source {self.source!r}")
         if self.source == "forward" and not self.pattern_ids:

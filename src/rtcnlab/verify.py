@@ -33,7 +33,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        """True when every check passed; a suite that ran none fails."""
+        return bool(self.checks) and all(c["passed"] for c in self.checks)
 
     def add(self, name: str, passed: bool, **details):
         entry = {"name": name, "passed": bool(passed)}

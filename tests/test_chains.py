@@ -1,9 +1,44 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rtcnlab import chains, moments, networks, patterns
+
+
+def _reference_distribution(table, n_target):
+    """The exact law by a per-state Python-int walk over the support,
+    with the engine's checks: the reference for exact_distribution."""
+    dist = {table.initial: 1}
+    scale = 1
+    for n in range(2, n_target):
+        new = {}
+        for state, weight in dist.items():
+            kw = table.state_kwargs(state)
+            total = 0
+            for rule in table.rules:
+                num = rule.numerator(n, **kw)
+                assert num >= 0, (n, state, rule.case)
+                total += num
+                if num:
+                    nxt = tuple(x + d for x, d in zip(state, rule.delta))
+                    new[nxt] = new.get(nxt, 0) + weight * num
+            assert total == n * n, (n, state)
+        dist = new
+        scale *= n * n
+        assert all(table.feasible(n + 1, state) for state in dist)
+    return {state: Fraction(w, scale) for state, w in dist.items()}
+
+
+def _table_file(tmp_path, doc):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    return chains.load_table(path)
+
+
+def _trident_doc():
+    return json.loads((chains._DATA_DIR / "trident.json").read_text())
 
 
 def test_builtin_ids_and_unknown():
@@ -96,8 +131,85 @@ def test_cherry_falling_moments_approach_quarter_powers():
 
 
 def test_budget_guard():
-    with pytest.raises(chains.BudgetExceeded):
+    with pytest.raises(chains.BudgetExceeded,
+                       match=r"^51 states at n=24 exceeds budget 50$"):
         chains.exact_distribution(chains.builtin_table("c-i"), 60, max_states=50)
+
+
+def test_exact_distribution_matches_reference_walk():
+    for cid in chains.BUILTIN_IDS:
+        table = chains.builtin_table(cid)
+        assert chains._grid_dtype(table, 2000) is np.int64, cid
+        for n in (2, 3, 4, 7, 12, 20):
+            dist = chains.exact_distribution(table, n)
+            assert dist == _reference_distribution(table, n), (cid, n)
+            assert all(type(x) is int for state in dist for x in state)
+            assert all(p > 0 for p in dist.values())
+
+
+def test_exact_negative_numerator_at_reachable_state(tmp_path):
+    doc = _trident_doc()
+    doc["rules"][0]["numerator"] += " - 1"
+    doc["rules"][2]["numerator"] += " + 1"
+    table = _table_file(tmp_path, doc)
+    with pytest.raises(chains.TableError, match=(
+            r"^negative numerator at n=2 state=\(0,\) "
+            r"rule \[reticulation/inside one trident\]$")):
+        chains.exact_distribution(table, 5)
+
+
+def test_exact_negative_numerator_off_support_is_ignored(tmp_path):
+    # every step adds one to a or to b, so the support at n leaves is the
+    # antidiagonal a + b = n - 2 of the box [0, n - 2]^2; u vanishes on it
+    # and makes a numerator negative below it and the other one above it
+    u = "100*(a + b + 2 - n)"
+    doc = {"name": "diagonal", "components": ["a", "b"],
+           "footprints": {"a": 1, "b": 1}, "initial": {"a": 0, "b": 0},
+           "observables": {"a": "a"},
+           "rules": [
+               {"event": "e", "case": "left", "delta": {"a": 1},
+                "numerator": f"n*n - n + {u}"},
+               {"event": "e", "case": "right", "delta": {"b": 1},
+                "numerator": f"n - {u}"}]}
+    table = _table_file(tmp_path, doc)
+    law = chains.exact_distribution(table, 4)
+    assert set(law) == {(2, 0), (1, 1), (0, 2)}
+    assert table.rules[0].numerator(4, a=0, b=0) < 0
+    assert table.rules[1].numerator(4, a=2, b=2) < 0
+    assert chains.exact_distribution(table, 12) == \
+        _reference_distribution(table, 12)
+
+
+def test_exact_numerators_not_summing_to_n_squared(tmp_path):
+    doc = _trident_doc()
+    doc["rules"][2]["numerator"] += " + 1"
+    table = _table_file(tmp_path, doc)
+    with pytest.raises(chains.TableError, match=(
+            r"^table trident: numerators sum to 5 != n\^2 at n=2, "
+            r"state=\(0,\); transcription suspect$")):
+        chains.exact_distribution(table, 5)
+
+
+def test_exact_infeasible_successor(tmp_path):
+    doc = _trident_doc()
+    doc["footprints"]["a"] = 5
+    table = _table_file(tmp_path, doc)
+    with pytest.raises(chains.TableError, match=(
+            r"^table trident: infeasible state \(1,\) at n=3; "
+            r"transcription suspect$")):
+        chains.exact_distribution(table, 5)
+
+
+def test_exact_python_int_grids(tmp_path):
+    # a constant of 2^63 does not fit int64 (numpy raises OverflowError
+    # on an int64 grid), so this table must run on Python-int grids
+    doc = _trident_doc()
+    doc["rules"][2]["numerator"] += \
+        " + 9223372036854775808*a - 9223372036854775808*a"
+    table = _table_file(tmp_path, doc)
+    assert chains._grid_dtype(table, 12) is object
+    assert chains.exact_distribution(table, 12) == \
+        chains.exact_distribution(chains.builtin_table("trident"), 12)
 
 
 def test_coupling_all_chains_small():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import jsonschema
 
-from rtcnlab import cli
+from rtcnlab import cli, verify
 
 SCHEMA_DIR = Path(cli.__file__).parent / "data" / "schemas"
 
@@ -124,13 +124,23 @@ def test_verify_moments_with_perturbed_sigma(tmp_path):
     assert doc["passed"] is False
 
 
-def test_classify_malformed_pattern_file(tmp_path):
+def test_classify_malformed_pattern_file(tmp_path, capsys):
     path = tmp_path / "pat.json"
     path.write_text("{not json")
     assert run(["classify", "--pattern-file", str(path)]) == 2
     path.write_text(json.dumps({"initial_lineages": 2,
                                 "events": [{"type": "branch", "a": 0}]}))
     assert run(["classify", "--pattern-file", str(path)]) == 2
+    capsys.readouterr()
+    path.write_text(json.dumps({"initial_lineages": 2}))
+    assert run(["classify", "--pattern-file", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"cannot load pattern {path}: missing key 'events'\n"
+    path.write_text("[1, 2]")
+    assert run(["classify", "--pattern-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load pattern {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_coupling_small(tmp_path):
@@ -157,6 +167,32 @@ def test_verify_rejects_single_replication(capsys):
     assert run(["verify", "--suite", "theorem1", "--reps", "1",
                 "--leaves", "10"]) == 1
     assert "--reps" in capsys.readouterr().err
+
+
+def test_verify_rejects_leaves_below_two(capsys):
+    for leaves in ("1", "0", "-3"):
+        assert run(["verify", "--suite", "coupling", "--leaves", leaves]) == 1
+        err = capsys.readouterr().err
+        assert "--leaves" in err and len(err.splitlines()) == 1
+
+
+def test_verify_suite_without_checks_fails(monkeypatch, capsys):
+    assert verify.SuiteReport("empty").passed is False
+    monkeypatch.setitem(verify.SUITES, "coupling",
+                        lambda opts: verify.SuiteReport("coupling"))
+    assert run(["verify", "--suite", "coupling"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [] and doc["passed"] is False
+
+
+def test_threads_below_one_is_usage_error(monkeypatch, capsys):
+    assert run(["verify", "--suite", "conjecture", "--threads", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert "--threads" in err and len(err.splitlines()) == 1
+    monkeypatch.setenv("RTCN_THREADS", "0")
+    assert run(["verify", "--suite", "conjecture"]) == 1
+    err = capsys.readouterr().err
+    assert "RTCN_THREADS" in err and len(err.splitlines()) == 1
 
 
 def test_bad_subcommand_is_usage_error():

@@ -227,6 +227,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="'nope'"):
         mc.ExperimentConfig(source="forward", n=10, reps=10, seed=0,
                             pattern_ids=("cherry", "nope"))
+    with pytest.raises(ValueError, match="threads"):
+        mc.ExperimentConfig(source="trident", n=10, reps=10, seed=0, threads=0)
 
 
 def test_summary_rejects_histogram_of_wrong_size():
