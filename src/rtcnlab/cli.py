@@ -14,8 +14,11 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, conjecture, networks, patterns, verify
 
@@ -72,6 +75,9 @@ def _manifest(subcommand: str, config: dict) -> dict:
         "subcommand": subcommand,
         "seed": config.get("seed"),
         "config": {k: v for k, v in sorted(config.items())},
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "cpu_count": os.cpu_count()},
     }
 
 
@@ -119,7 +125,17 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+# the suites that read each flag; any other suite would ignore it
+_STATISTICAL_SUITES = {"theorem1", "theorem2a", "theorem2b", "theorem2c",
+                       "prop3", "prop4"}
+_FLAG_READERS = {"--reps": _STATISTICAL_SUITES,
+                 "--leaves": _STATISTICAL_SUITES | {"coupling"}}
+
+
 def cmd_verify(args) -> int:
+    for flag, value in (("--reps", args.reps), ("--leaves", args.leaves)):
+        if value is not None and args.suite not in _FLAG_READERS[flag]:
+            raise UsageError(f"{flag} is not read by suite {args.suite!r}")
     if args.reps is not None and args.reps < 2:
         raise UsageError("--reps must be at least 2")
     if args.leaves is not None and args.leaves < 2:

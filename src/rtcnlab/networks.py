@@ -428,8 +428,16 @@ def generate_batch(n: int, seed: int, streams: Sequence[int]) -> LockstepBatch:
     the same words by the same rule."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    m = len(streams)
-    slots = _step_slots(n, seed, streams)
+    return _grow(n, _step_slots(n, seed, streams))
+
+
+def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
+    """The lockstep batch whose row r applies, at step ell = 2..n-1, the
+    event of slots[r, ell-2] = (i, j, ell): a branching at slot i when
+    i == j, else a reticulation at the pair (i, j).  The slot table is
+    consumed: it is offset in place and freed before the consumer table
+    is built."""
+    m = len(slots)
     kind = np.zeros((m, n - 1), dtype=bool)
     kind[:, 1:] = slots[..., 0] != slots[..., 1]
     # per step, the lineages written to the three slots: 3e+1, 3e+2 and
@@ -464,13 +472,19 @@ def history_count(n: int) -> int:
     return math.prod(ell * ell for ell in range(2, n))
 
 
-def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
-    """Every construction history exactly once, each with probability
-    1 / prod(ell^2).  Guarded to small n; the count grows as (n-1)!^2."""
+def check_enumerable(n: int) -> None:
+    """Raise ValueError unless every history of n leaves may be
+    enumerated.  The count grows as (n-1)!^2: 1.3e11 at n = 10."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
     if n > ENUM_MAX_LEAVES:
         raise ValueError(f"enumeration guard: n must be <= {ENUM_MAX_LEAVES}")
+
+
+def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
+    """Every construction history exactly once, each with probability
+    1 / prod(ell^2).  Guarded to small n by check_enumerable."""
+    check_enumerable(n)
     prob = Fraction(1, history_count(n))
     structure = EventStructure(network_root=True)
     events: List[Event] = []
@@ -490,6 +504,25 @@ def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
 
     for net in rec(2):
         yield net, prob
+
+
+def history_batch(n: int, lo: int, hi: int) -> LockstepBatch:
+    """Histories lo..hi-1 of enumerate_histories(n), grown in lockstep.
+
+    History h is read as a mixed-radix number whose digit at step ell
+    is i*ell + j, with ell = 2 the most significant digit; its slots
+    (i, j, ell) are the ones generate's rule gives for that digit."""
+    check_enumerable(n)
+    if not 0 <= lo <= hi <= history_count(n):
+        raise ValueError(f"history range {lo}..{hi} outside "
+                         f"0..{history_count(n)}")
+    h = np.arange(lo, hi, dtype=np.int64)
+    slots = np.empty((hi - lo, n - 2, 3), dtype=np.intp)
+    for ell in range(n - 1, 1, -1):
+        h, digit = np.divmod(h, ell * ell)
+        np.divmod(digit, ell, out=(slots[:, ell - 2, 0], slots[:, ell - 2, 1]))
+        slots[:, ell - 2, 2] = ell
+    return _grow(n, slots)
 
 
 # -- text format -----------------------------------------------------------

@@ -116,22 +116,26 @@ def _merge_fit(report: SuiteReport, prefix: str, fit: montecarlo.FitReport):
 @_suite
 def suite_coupling(rep: SuiteReport, opts: dict) -> None:
     """Exact distributional identity between full history enumeration and
-    the chain laws, for every leaf count up to the configured maximum."""
+    the chain laws, for every leaf count up to the configured maximum.
+
+    The histories of each n are grown in lockstep sub-batches of at most
+    montecarlo.FORWARD_CELLS lineage slots and counted as arrays."""
     n_max = int(opts.get("n_max", opts.get("n", 7)))
+    networks.check_enumerable(n_max)
     chain_ids = opts.get("chains", list(chains.TRANSCRIBED_IDS))
     tables = {cid: chains.builtin_table(cid) for cid in chain_ids}
-    observables = {cid: list(t.observables) for cid, t in tables.items()}
-    names = sorted({name for obs in observables.values() for name in obs})
+    names = sorted({name for t in tables.values() for name in t.observables})
+    columns = {cid: [names.index(name) for name in t.observables]
+               for cid, t in tables.items()}
     for n in range(2, n_max + 1):
         emp: Dict[str, Dict[tuple, int]] = {cid: {} for cid in chain_ids}
-        total = 0
-        for net, _prob in networks.enumerate_histories(n):
-            total += 1
-            counts = {name: patterns.count_occurrences(net, name)
-                      for name in names}
+        total = networks.history_count(n)
+        rows = max(1, montecarlo.FORWARD_CELLS // (3 * n - 2))
+        for lo in range(0, total, rows):
+            batch = networks.history_batch(n, lo, min(lo + rows, total))
+            counts = patterns.count_batch(batch, names)
             for cid in chain_ids:
-                key = tuple(counts[name] for name in observables[cid])
-                emp[cid][key] = emp[cid].get(key, 0) + 1
+                montecarlo._merge_counts(emp[cid], counts[:, columns[cid]])
         for cid in chain_ids:
             empirical = {k: Fraction(v, total) for k, v in emp[cid].items()}
             exact = chains.observed_distribution(tables[cid], n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rtcnlab import chains, moments, networks, patterns
+from rtcnlab import chains, moments, montecarlo, networks, patterns, verify
 
 
 def _reference_distribution(table, n_target):
@@ -228,3 +228,23 @@ def test_coupling_all_chains_small():
             exact = {k: p for k, p in
                      chains.observed_distribution(table, n).items() if p != 0}
             assert empirical == exact, (cid, n)
+
+
+def test_coupling_sub_batch_boundaries(monkeypatch):
+    """Sub-batches that split n = 5 and n = 6 unevenly (76 and 62 rows
+    against 576 and 14,400 histories) give the same report."""
+    want = verify.suite_coupling({"n_max": 6}).to_dict()["checks"]
+    monkeypatch.setattr(montecarlo, "FORWARD_CELLS", 1000)
+    for n in (5, 6):
+        rows = montecarlo.FORWARD_CELLS // (3 * n - 2)
+        assert rows < networks.history_count(n)
+        assert networks.history_count(n) % rows
+    assert verify.suite_coupling({"n_max": 6}).to_dict()["checks"] == want
+
+
+def test_coupling_suite_all_chains():
+    rep = verify.suite_coupling({"n_max": 6, "chains": list(chains.BUILTIN_IDS)})
+    assert rep.passed
+    assert len(rep.checks) == 5 * len(chains.BUILTIN_IDS)
+    assert {c["histories"] for c in rep.checks} == {
+        networks.history_count(n) for n in range(2, 7)}

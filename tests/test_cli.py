@@ -1,7 +1,10 @@
 import json
+import os
+import platform
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from rtcnlab import cli, verify
 
@@ -231,3 +234,29 @@ def test_missing_sigma_file_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read {sigma}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_verify_flag_the_suite_does_not_read_is_usage_error(capsys):
+    ignored = [("--leaves", s) for s in ("conjecture", "moments", "matcher")]
+    ignored += [("--reps", s)
+                for s in ("conjecture", "moments", "matcher", "coupling")]
+    for flag, suite in ignored:
+        assert run(["verify", "--suite", suite, flag, "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {flag} is not read by suite '{suite}'\n"
+
+
+def test_verify_coupling_leaves_above_guard_is_input_error(capsys):
+    assert run(["verify", "--suite", "coupling", "--leaves", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "enumeration guard" in err and len(err.splitlines()) == 1
+
+
+def test_manifest_records_environment(tmp_path):
+    out = tmp_path / "net.events"
+    assert run(["generate", "--leaves", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "net.events.manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "cpu_count": os.cpu_count()}

@@ -65,25 +65,60 @@ def test_generate_rejects_small_n():
         nw.generate_batch(1, 0, [1])
 
 
+def _assert_row_is_relabelled(batch, r, s, n):
+    """Row r of a lockstep batch is the EventStructure s, up to the
+    relabelling of lineages."""
+    # event e's k-th produced lineage sits in slot 3e+1+k
+    slot = {0: 0}
+    for e, produced in enumerate(s.produced):
+        for k, lineage in enumerate(produced):
+            slot[lineage] = 3 * e + 1 + k
+    assert batch.kind[r].tolist() == [k == "R" for k in s.kinds]
+    assert batch.consumed[r].tolist() == [
+        [slot[l] for l in c] + [-1] * (2 - len(c)) for c in s.consumed]
+    consumer = [-1] * (3 * n - 2)
+    for lineage, e in enumerate(s.consumer):
+        consumer[slot[lineage]] = e
+    assert batch.consumer[r].tolist() == consumer
+    assert batch.open_slots[r].tolist() == [slot[l] for l in s.open_slots]
+
+
 def test_generate_batch_is_generate_relabelled():
     for n in (2, 3, 9):
         batch = nw.generate_batch(n, 7, range(1, 41))
         for r in range(40):
             s = nw.generate(n, 7, stream=r + 1).structure
-            # event e's k-th produced lineage sits in slot 3e+1+k
-            slot = {0: 0}
-            for e, produced in enumerate(s.produced):
-                for k, lineage in enumerate(produced):
-                    slot[lineage] = 3 * e + 1 + k
-            assert batch.kind[r].tolist() == [k == "R" for k in s.kinds]
-            assert batch.consumed[r].tolist() == [
-                [slot[l] for l in c] + [-1] * (2 - len(c)) for c in s.consumed]
-            consumer = [-1] * (3 * n - 2)
-            for lineage, e in enumerate(s.consumer):
-                consumer[slot[lineage]] = e
-            assert batch.consumer[r].tolist() == consumer
-            assert batch.open_slots[r].tolist() == [slot[l] for l in s.open_slots]
+            _assert_row_is_relabelled(batch, r, s, n)
 
+
+def test_history_batch_slices_are_rows_of_the_full_batch():
+    for n in (2, 3, 5, 6):
+        total = nw.history_count(n)
+        full = nw.history_batch(n, 0, total)
+        assert full.kind.shape == (total, n - 1)
+        for lo, hi in ((0, 1), (total // 3, min(total // 3 + 7, total)),
+                       (total - 1, total), (total, total)):
+            part = nw.history_batch(n, lo, hi)
+            for name in ("kind", "consumed", "consumer", "open_slots"):
+                assert (getattr(part, name)
+                        == getattr(full, name)[lo:hi]).all(), (n, lo, name)
+
+
+def test_history_batch_is_enumeration_relabelled():
+    for n in (2, 3, 4, 5):
+        batch = nw.history_batch(n, 0, nw.history_count(n))
+        for r, (net, _) in enumerate(nw.enumerate_histories(n)):
+            _assert_row_is_relabelled(batch, r, net.structure, n)
+
+
+def test_history_batch_guards():
+    with pytest.raises(ValueError, match="enumeration guard"):
+        nw.history_batch(nw.ENUM_MAX_LEAVES + 1, 0, 1)
+    with pytest.raises(ValueError):
+        nw.history_batch(1, 0, 1)
+    for lo, hi in ((-1, 3), (4, 3), (0, 37)):
+        with pytest.raises(ValueError):
+            nw.history_batch(4, lo, hi)
 
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**63 - 1))
 @settings(max_examples=60, deadline=None)

@@ -150,6 +150,15 @@ def test_overlap_counting_identity(n, seed):
         _standalone_b_i(s) + 2 * pt.count_occurrences(net, "h3-bi")
 
 
+
+def test_count_batch_on_histories_equals_scalar_counts():
+    ids = sorted(CAT)
+    for n in range(2, 7):
+        got = pt.count_batch(nw.history_batch(n, 0, nw.history_count(n)), ids)
+        want = [[pt.count_occurrences(net, pid) for pid in ids]
+                for net, _ in nw.enumerate_histories(n)]
+        assert got.tolist() == want, n
+
 def test_trivial_pattern_counts_external_lineages():
     net = nw.generate(7, 1)
     assert pt.count_occurrences(net, pt.TRIVIAL) == 7
