@@ -37,15 +37,13 @@ def main():
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--reps", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=2)
     args = ap.parse_args()
 
     print(f"n={args.n}  reps={args.reps}  seed={args.seed}")
     print(f"{'chain':8s} {'observable':10s} {'sim mean':>12s} {'limit':>12s}")
     for cid in chains.BUILTIN_IDS:
         cfg = montecarlo.ExperimentConfig(source=cid, n=args.n,
-                                          reps=args.reps, seed=args.seed,
-                                          threads=args.threads)
+                                          reps=args.reps, seed=args.seed)
         s = montecarlo.run_experiment(cfg)
         for name in s.components:
             kind, value = LIMITS.get(name, (None, None))

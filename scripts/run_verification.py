@@ -24,9 +24,7 @@ def main(argv):
         else Path("verification-reports")
     quick = "--quick" in argv
     outdir.mkdir(parents=True, exist_ok=True)
-    # reports do not depend on the thread count, and the chain Monte Carlo
-    # holds the interpreter lock, so two threads run it slower than one
-    opts = {"threads": 1}
+    opts = {}
     if quick:
         opts["reps"] = 20_000
     failures = []

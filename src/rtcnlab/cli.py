@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 input-validation failure,
 3 verification failure.  Every run emits a manifest (next to --out, or on
 stderr when writing to stdout) recording the full configuration and the
 digests of everything written, so a run can be replayed bit-exactly.
-All randomness flows from --seed; --threads (default RTCN_THREADS) only
-budgets the Monte Carlo scheduling and never changes results.
+All randomness flows from --seed; --threads (default RTCN_THREADS) is
+validated and recorded but has no effect.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +69,16 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _git_revision(directory: Path = Path(__file__).parent) -> str | None:
+    """HEAD of the git checkout holding directory, else None."""
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
+                              capture_output=True, text=True, timeout=30,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def _manifest(subcommand: str, config: dict) -> dict:
     return {
         "tool": "rtcnlab",
@@ -77,7 +88,8 @@ def _manifest(subcommand: str, config: dict) -> dict:
         "config": {k: v for k, v in sorted(config.items())},
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
-                        "cpu_count": os.cpu_count()},
+                        "cpu_count": os.cpu_count(),
+                        "git_revision": _git_revision()},
     }
 
 
@@ -227,9 +239,9 @@ def build_parser() -> _Parser:
     # is a usage error like a bad --threads
     v.add_argument("--threads", type=int,
                    default=os.environ.get("RTCN_THREADS", "1"),
-                   help="thread budget (default: RTCN_THREADS, else 1); "
-                        "the work holds the interpreter lock, so more "
-                        "threads seldom run faster")
+                   help="accepted for compatibility and has no effect "
+                        "(default: RTCN_THREADS, else 1); the Monte Carlo "
+                        "runs in one thread")
     v.add_argument("--sigma-file", default=None,
                    help="override the covariance matrix data file")
     v.add_argument("--out")

@@ -3,7 +3,7 @@
 Every random draw in this package is a pure function of (seed, stream,
 step, index), realised with the Philox-4x64 bit generator.  This makes
 replication exact: replaying a run with the same seed reproduces every
-draw, regardless of how work is chunked across threads.
+draw, regardless of how the replications are split into blocks.
 """
 
 from __future__ import annotations

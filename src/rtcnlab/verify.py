@@ -19,7 +19,6 @@ from . import chains, conjecture, montecarlo, moments, networks, patterns
 
 DEFAULTS = {
     "reps": 100_000,
-    "threads": 1,
     "seed": 20260809,
     "p_threshold": 1e-3,
 }
@@ -81,25 +80,24 @@ def _suite(body: Callable[[SuiteReport, dict], None]) -> Callable[[dict], SuiteR
     return run
 
 
-def _mc_options(opts: dict, n: int) -> Tuple[int, int, int, int]:
-    """(n, reps, seed, threads) of a statistical suite: its options, else
-    the given leaf count and the defaults."""
+def _mc_options(opts: dict, n: int) -> Tuple[int, int, int]:
+    """(n, reps, seed) of a statistical suite: its options, else the given
+    leaf count and the defaults.  opts["threads"] is ignored."""
     return (int(opts.get("n", n)),
             int(opts.get("reps", DEFAULTS["reps"])),
-            int(opts.get("seed", DEFAULTS["seed"])),
-            int(opts.get("threads", DEFAULTS["threads"])))
+            int(opts.get("seed", DEFAULTS["seed"])))
 
 
 _summary_cache: Dict[tuple, montecarlo.SampleSummary] = {}
 
 
-def _chain_summary(chain_id, n, reps, seed, threads):
+def _chain_summary(chain_id, n, reps, seed):
     """Simulation summaries are deterministic in (chain, n, reps, seed),
     so suites sharing a configuration reuse the same run."""
     key = (chain_id, n, reps, seed)
     if key not in _summary_cache:
         cfg = montecarlo.ExperimentConfig(source=chain_id, n=n, reps=reps,
-                                          seed=seed, threads=threads)
+                                          seed=seed)
         _summary_cache[key] = montecarlo.run_experiment(cfg)
     return _summary_cache[key]
 
@@ -291,8 +289,8 @@ def suite_matcher(rep: SuiteReport, opts: dict) -> None:
 @_suite
 def suite_theorem1(rep: SuiteReport, opts: dict) -> None:
     """Central limit behaviour of the trident count at n=2000."""
-    n, reps, seed, threads = _mc_options(opts, n=2000)
-    summary = _chain_summary("trident", n, reps, seed, threads)
+    n, reps, seed = _mc_options(opts, n=2000)
+    summary = _chain_summary("trident", n, reps, seed)
     mu = float(moments.mean_closed_form("trident", n))
     sigma2 = 24 * n / 637
     # strict sampling-error bands: the trident's own finite-size moment
@@ -310,9 +308,9 @@ _POISSON_LAMBDAS = {"b-i": Fraction(1, 8), "b-ii": Fraction(1, 28),
 @_suite
 def suite_theorem2b(rep: SuiteReport, opts: dict) -> None:
     """Poisson limits of the five sporadic height-2 patterns at n=1000."""
-    n, reps, seed, threads = _mc_options(opts, n=1000)
+    n, reps, seed = _mc_options(opts, n=1000)
     for pid, lam in _POISSON_LAMBDAS.items():
-        summary = _chain_summary(pid, n, reps, seed, threads)
+        summary = _chain_summary(pid, n, reps, seed)
         fit = montecarlo.poisson_gof(summary, float(lam), component=pid,
                                      p_threshold=float(
                                          opts.get("p_threshold",
@@ -324,12 +322,12 @@ def suite_theorem2b(rep: SuiteReport, opts: dict) -> None:
 def suite_theorem2a(rep: SuiteReport, opts: dict) -> None:
     """Degenerate patterns: vanishing occurrence fractions plus the exact
     small mean of the stacked-branching count."""
-    n, reps, seed, threads = _mc_options(opts, n=1000)
+    n, reps, seed = _mc_options(opts, n=1000)
     max_fraction = float(opts.get("max_fraction", 0.01))
 
     sources = [("a-i", "a-i"), ("a-ii", "a-ii"), ("b-i", "h3-bi")]
     for chain_id, comp in sources:
-        summary = _chain_summary(chain_id, n, reps, seed, threads)
+        summary = _chain_summary(chain_id, n, reps, seed)
         hist = summary.marginal_histogram(comp)
         nonzero = sum(w for v, w in hist.items() if v != 0) / reps
         rep.add(f"degenerate:{comp}:nonzero_fraction", nonzero < max_fraction,
@@ -348,13 +346,13 @@ def suite_theorem2a(rep: SuiteReport, opts: dict) -> None:
 @_suite
 def suite_theorem2c(rep: SuiteReport, opts: dict) -> None:
     """Normal limits of the two frequent height-2 patterns at n=2000."""
-    n, reps, seed, threads = _mc_options(opts, n=2000)
+    n, reps, seed = _mc_options(opts, n=2000)
     targets = {
         "c-i": (Fraction(4, 77), Fraction(4575916, 137582445)),
         "c-ii": (Fraction(2, 77), Fraction(2930764, 137582445)),
     }
     for pid, (mu_coef, var_coef) in targets.items():
-        summary = _chain_summary(pid, n, reps, seed, threads)
+        summary = _chain_summary(pid, n, reps, seed)
         fit = montecarlo.normality_check(
             summary, float(mu_coef * n), float(var_coef * n), component=pid,
             var_rel_tol=0.05)
@@ -365,8 +363,8 @@ def suite_theorem2c(rep: SuiteReport, opts: dict) -> None:
 def suite_prop3(rep: SuiteReport, opts: dict) -> None:
     """Joint law of (base count, cherry count) for the branch-plus-join
     pattern: independent Poisson(1/8) x Poisson(1/4)."""
-    n, reps, seed, threads = _mc_options(opts, n=1000)
-    summary = _chain_summary("b-i", n, reps, seed, threads)
+    n, reps, seed = _mc_options(opts, n=1000)
+    summary = _chain_summary("b-i", n, reps, seed)
     fit = montecarlo.independence_check(summary, components=("b-i", "cherry"))
     _merge_fit(rep, "joint", fit)
 
@@ -375,10 +373,10 @@ def suite_prop3(rep: SuiteReport, opts: dict) -> None:
 def suite_prop4(rep: SuiteReport, opts: dict) -> None:
     """Covariance structure of (overlap, base, trident) counts at n=2000,
     scaled by 1/n, against the limit matrix."""
-    n, reps, seed, threads = _mc_options(opts, n=2000)
+    n, reps, seed = _mc_options(opts, n=2000)
     sigma = moments.load_sigma(opts.get("sigma_file")) if opts.get("sigma_file") \
         else moments.default_sigma()
-    summary = _chain_summary("c-i", n, reps, seed, threads)
+    summary = _chain_summary("c-i", n, reps, seed)
     fit = montecarlo.covariance_check(summary, n, sigma)
     _merge_fit(rep, "covariance", fit)
 

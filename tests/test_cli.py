@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import subprocess
 from pathlib import Path
 
 import jsonschema
@@ -259,4 +260,37 @@ def test_manifest_records_environment(tmp_path):
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": np.__version__,
-                                       "cpu_count": os.cpu_count()}
+                                       "cpu_count": os.cpu_count(),
+                                       "git_revision": cli._git_revision()}
+
+
+def _git(cwd, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_git_revision_of_a_checkout(tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "f").write_text("x")
+    _git(tmp_path, "add", "f")
+    _git(tmp_path, "commit", "-q", "-m", "x")
+    (tmp_path / "pkg").mkdir()
+    head = _git(tmp_path, "rev-parse", "HEAD")
+    assert cli._git_revision(tmp_path / "pkg") == head
+    manifest = cli._manifest("generate", {})
+    manifest["outputs"] = {}
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+
+
+def test_git_revision_is_null_outside_a_checkout_or_without_git(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    assert cli._git_revision(tmp_path) is None
+    monkeypatch.setenv("PATH", str(tmp_path))  # no git on the path
+    assert cli._git_revision(Path(cli.__file__).parent) is None
+    out = tmp_path / "net.events"
+    assert run(["generate", "--leaves", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "net.events.manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    assert manifest["environment"]["git_revision"] is None

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -150,6 +151,43 @@ def test_forward_source_thread_independent():
     one = mc.run_experiment(mc.ExperimentConfig(threads=1, **base))
     four = mc.run_experiment(mc.ExperimentConfig(threads=4, **base))
     assert one.histogram == four.histogram
+
+
+def test_chain_block_size_changes_nothing(tmp_path, monkeypatch):
+    cfg = mc.ExperimentConfig(source="c-i", n=40, reps=50, seed=3)
+    whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
+    assert cfg.reps < mc.CHUNK
+    # 50 = 4 * 12 + 2: the last block is not a multiple of 4
+    monkeypatch.setattr(mc, "CHUNK", 12)
+    split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
+    assert split.histogram == whole.histogram
+    assert (tmp_path / "split.csv").read_bytes() == \
+        (tmp_path / "whole.csv").read_bytes()
+
+
+def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
+    cfg = mc.ExperimentConfig(source="forward", n=8, reps=25, seed=9,
+                              pattern_ids=("cherry", "trident", "b-i"))
+    whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
+    assert cfg.reps < mc.FORWARD_CELLS // (3 * cfg.n - 2)
+    # two rows of 22 lineage slots per block; the last block has one row
+    monkeypatch.setattr(mc, "FORWARD_CELLS", 50)
+    split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
+    assert split.histogram == whole.histogram
+    assert (tmp_path / "split.csv").read_bytes() == \
+        (tmp_path / "whole.csv").read_bytes()
+
+
+def test_thread_budget_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_experiment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for cfg in (mc.ExperimentConfig(source="b-i", n=30, reps=200, seed=1,
+                                    threads=4),
+                mc.ExperimentConfig(source="forward", n=30, reps=200, seed=1,
+                                    pattern_ids=("cherry",), threads=4)):
+        assert mc.run_experiment(cfg).reps == 200
 
 
 def test_source_agreement_with_exact_law():
