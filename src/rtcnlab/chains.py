@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -216,6 +216,15 @@ def _state_at(mask: np.ndarray, origin: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(mask)[0] + origin)
 
 
+def exact_laws(table: TransitionTable, n_max: int,
+               max_states: int = 2_000_000) -> Iterator[Dict[Tuple[int, ...], Fraction]]:
+    """Exact laws of the tracked count vector at n = 2, ..., n_max leaves,
+    propagated once; a law's Fractions are built only when the generator
+    is advanced to it.  See exact_distribution."""
+    for state in _propagate(table, n_max, max_states):
+        yield _law(*state)
+
+
 def exact_distribution(table: TransitionTable, n_target: int,
                        max_states: int = 2_000_000) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the tracked count vector at n_target leaves.
@@ -230,10 +239,23 @@ def exact_distribution(table: TransitionTable, n_target: int,
     the checks (negative numerator, sum != n^2, infeasible state) apply
     to the support only.
     """
-    if n_target < 2:
+    for last in _propagate(table, n_target, max_states):
+        pass
+    return _law(*last)
+
+
+def _law(weights, live, origin, scale) -> Dict[Tuple[int, ...], Fraction]:
+    idx = np.nonzero(live)
+    states = (np.stack(idx, axis=1) + origin).tolist()
+    return {tuple(s): Fraction(w, scale) for s, w in zip(states, weights[idx])}
+
+
+def _propagate(table: TransitionTable, n_max: int, max_states: int):
+    """(weights, live, origin, scale) of the law at n = 2, ..., n_max."""
+    if n_max < 2:
         raise ValueError("need n_target >= 2")
     k = len(table.components)
-    dtype = _grid_dtype(table, n_target)
+    dtype = _grid_dtype(table, n_max)
     groups: Dict[Tuple[int, ...], List[TransitionRule]] = {}
     for rule in table.rules:
         groups.setdefault(rule.delta, []).append(rule)
@@ -252,7 +274,8 @@ def exact_distribution(table: TransitionTable, n_target: int,
     origin = np.array(table.initial, dtype=np.int64)
     coords = grids(origin, live.shape)
     scale = 1
-    for n in range(2, n_target):
+    yield weights, live, origin, scale
+    for n in range(2, n_max):
         nn = n * n
         kw = table.state_kwargs(coords)
         new = np.zeros(tuple(live.shape + grow), dtype=object)
@@ -299,18 +322,23 @@ def exact_distribution(table: TransitionTable, n_target: int,
                 f"table {table.name}: infeasible state "
                 f"{_state_at(infeasible, origin)} at n={n + 1}; "
                 f"transcription suspect")
-    idx = np.nonzero(live)
-    states = (np.stack(idx, axis=1) + origin).tolist()
-    return {tuple(s): Fraction(w, scale) for s, w in zip(states, weights[idx])}
+        yield weights, live, origin, scale
 
 
 def observed_distribution(table: TransitionTable, n_target: int,
                           **kwargs) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the observable pattern counts (in the order of the
     table's observables map)."""
+    return observe_law(table, exact_distribution(table, n_target, **kwargs))
+
+
+def observe_law(table: TransitionTable, law: Dict[Tuple[int, ...], Fraction]
+                ) -> Dict[Tuple[int, ...], Fraction]:
+    """The law of the observable pattern counts under a law of the
+    tracked count vector."""
     names = list(table.observables)
     out: Dict[Tuple[int, ...], Fraction] = {}
-    for state, p in exact_distribution(table, n_target, **kwargs).items():
+    for state, p in law.items():
         obs = table.observe(state)
         key = tuple(obs[name] for name in names)
         out[key] = out.get(key, Fraction(0)) + p

@@ -142,8 +142,7 @@ def trident_moment_table(n_max: int) -> Dict[int, Tuple[Fraction, Fraction]]:
     """(E T_n, E T_n^2) for 2 <= n <= n_max from the exact chain law."""
     table = chains.builtin_table("trident")
     out = {}
-    for n in range(2, n_max + 1):
-        dist = chains.exact_distribution(table, n)
+    for n, dist in enumerate(chains.exact_laws(table, n_max), start=2):
         out[n] = (chains.marginal_moment(dist, 0, 1),
                   chains.marginal_moment(dist, 0, 2))
     return out

@@ -147,6 +147,15 @@ def test_exact_distribution_matches_reference_walk():
             assert all(p > 0 for p in dist.values())
 
 
+def test_exact_laws_equal_exact_distribution():
+    for cid in chains.BUILTIN_IDS:
+        table = chains.builtin_table(cid)
+        laws = list(chains.exact_laws(table, 12))
+        assert len(laws) == 11, cid
+        for n, law in enumerate(laws, start=2):
+            assert law == chains.exact_distribution(table, n), (cid, n)
+
+
 def test_exact_negative_numerator_at_reachable_state(tmp_path):
     doc = _trident_doc()
     doc["rules"][0]["numerator"] += " - 1"

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +193,127 @@ def test_pattern_file_round_trip(tmp_path):
     spec = CAT["c-ii"]
     path.write_text(json.dumps(pt.spec_to_dict(spec)))
     assert pt.load_pattern_file(path) == spec
+
+
+def _random_pattern(rng, height, disjoint_lead):
+    """A random valid pattern of the given height; with disjoint_lead its
+    second event consumes no lineage of its first, as in h3-ci."""
+    while True:
+        k = rng.randint(2 if disjoint_lead else 1, 4)
+        events, ell = [], k
+        for _ in range(height):
+            if ell >= 2 and rng.random() < 0.5:
+                events.append(Reticulation(*rng.sample(range(ell), 2)))
+            else:
+                events.append(Branching(rng.randrange(ell)))
+            ell += 1
+        spec = PatternSpec(k, tuple(events))
+        try:
+            spec.validate()
+        except pt.PatternError:
+            continue
+        s = spec.structure()
+        if disjoint_lead == all(s.prod_ev[l] != 0 for l in s.consumed[1]):
+            return spec
+
+
+def _planted(rng, spec, n, copies, suffix):
+    """A network of n leaves: a random network, then `copies` times
+    spec's events on random open lineages, then `suffix` uniform random
+    events.  A later copy may consume lineages of an earlier one."""
+    ell = n - copies * spec.height - suffix
+    events = list(nw.generate(ell, rng.randrange(2**32)).log.events)
+    for _ in range(copies):
+        at = rng.sample(range(ell), spec.initial_lineages)
+        for ev in spec.events:
+            if isinstance(ev, Branching):
+                events.append(Branching(at[ev.position]))
+            else:
+                events.append(Reticulation(at[ev.pos_a], at[ev.pos_b]))
+            at.append(ell)
+            ell += 1
+    for ell in range(ell, n):
+        i, j = rng.randrange(ell), rng.randrange(ell)
+        events.append(Branching(i) if i == j else Reticulation(i, j))
+    return Network(EventLog(tuple(events)))
+
+
+def test_bruteforce_equals_generic_on_random_patterns():
+    rng = random.Random(20260809)
+    for height in (3, 4):
+        for lead in (False, True):
+            for _ in range(6):
+                spec = _random_pattern(rng, height, lead)
+                low = max(2, spec.initial_lineages)
+                nets = [_planted(rng, spec, rng.randint(
+                            low + copies * height + suffix, 40), copies, suffix)
+                        for copies, suffix in ((1, 0), (2, 0), (3, 0), (1, 3), (2, 8))]
+                nets.append(nw.generate(rng.randint(2, 40), rng.randrange(99)))
+                got = [pt.count_occurrences_bruteforce(net, spec) for net in nets]
+                assert got == [pt.count_occurrences_generic(net, spec)
+                               for net in nets], spec
+                assert got[0] >= 1, spec
+
+
+def test_fast_equals_generic_equals_bruteforce_at_25_to_40():
+    for n in range(25, 41, 3):
+        net = nw.generate(n, 31 * n)
+        for pid, spec in CAT.items():
+            fast = pt.count_occurrences(net, pid)
+            assert pt.count_occurrences_generic(net, spec) == fast, (pid, n)
+            assert pt.count_occurrences_bruteforce(net, spec) == fast, (pid, n)
+
+
+def test_bruteforce_slices_do_not_change_counts(monkeypatch):
+    nets = [nw.generate(n, n) for n in (9, 17, 30)]
+    want = [[pt.count_occurrences(net, pid) for pid in CAT] for net in nets]
+    monkeypatch.setattr(pt, "BRUTE_CELLS", 3)
+    got = [[pt.count_occurrences_bruteforce(net, spec) for spec in CAT.values()]
+           for net in nets]
+    assert got == want
+
+
+def test_bruteforce_maps_are_injective(monkeypatch):
+    # two disjoint cherries, a shape the public entry points refuse: only
+    # the injectivity checks keep its events on distinct host events
+    monkeypatch.setattr(PatternSpec, "validate", lambda self: None)
+    plan = pt._brute_plan.__wrapped__(PatternSpec(2, (Branching(0), Branching(1))))
+    for events, c in (((Branching(0), Branching(1)), 2),
+                      ((Reticulation(0, 1), Branching(0), Branching(1),
+                        Branching(2)), 3)):
+        net = Network(EventLog(events))
+        assert pt.count_occurrences(net, "cherry") == c
+        assert pt._embeddings(plan, net.structure) == 4 * c * (c - 1)
+
+
+def test_bruteforce_automorphisms_equal_matcher_self_embeddings():
+    for pid, spec in CAT.items():
+        s = spec.structure()
+        assert pt._brute_plan(spec).automorphisms == \
+            pt._count_embeddings(s, s), pid
+
+
+def test_wrong_automorphism_count_raises(monkeypatch):
+    net = nw.generate(2, 0)
+    plan = pt._brute_plan(CAT["cherry"])
+    monkeypatch.setattr(pt, "_brute_plan", lambda p: dataclasses.replace(
+        plan, automorphisms=plan.automorphisms + 1))
+    with pytest.raises(pt.PatternError, match="not divisible"):
+        pt.count_occurrences_bruteforce(net, "cherry")
+    count = pt._count_embeddings
+    monkeypatch.setattr(pt, "_count_embeddings",
+                        lambda pat, host: count(pat, host) + (pat is host))
+    with pytest.raises(pt.PatternError, match="not divisible"):
+        pt.count_occurrences_generic(net, CAT["cherry"])
+
+
+def test_no_assert_statements_in_package():
+    # python -O drops assert statements, so no check may rely on one
+    root = Path(pt.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_bruteforce_guards():
