@@ -33,6 +33,8 @@ TRANSCRIBED_IDS = ("trident", "a-i", "b-iv", "b-i", "c-i")
 _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
                   ast.Name, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
 _ALLOWED_NAMES = {"n", "a", "b", "c"}
+# support size above which exact propagation stops with a TableError
+_MAX_STATES = 2_000_000
 
 
 class TableError(ValueError):
@@ -216,17 +218,17 @@ def _state_at(mask: np.ndarray, origin: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(mask)[0] + origin)
 
 
-def exact_laws(table: TransitionTable, n_max: int,
-               max_states: int = 2_000_000) -> Iterator[Dict[Tuple[int, ...], Fraction]]:
+def exact_laws(table: TransitionTable, n_max: int
+               ) -> Iterator[Dict[Tuple[int, ...], Fraction]]:
     """Exact laws of the tracked count vector at n = 2, ..., n_max leaves,
     propagated once; a law's Fractions are built only when the generator
     is advanced to it.  See exact_distribution."""
-    for state in _propagate(table, n_max, max_states):
+    for state in _propagate(table, n_max, _MAX_STATES):
         yield _law(*state)
 
 
 def exact_distribution(table: TransitionTable, n_target: int,
-                       max_states: int = 2_000_000) -> Dict[Tuple[int, ...], Fraction]:
+                       max_states: int = _MAX_STATES) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the tracked count vector at n_target leaves.
 
     The law is an object array of Python-int weights over the bounding

@@ -32,10 +32,10 @@ _DATA_DIR = Path(__file__).parent / "data" / "patterns"
 
 BRUTE_MAX_HEIGHT = 4
 BRUTE_MAX_LEAVES = 120
-# child cells (rows x (pattern lineages + host lineages + host events))
-# that one slice of the brute force's frontier may grow into.  h3-cii on
-# a 120-leaf network took 1.03 s at 2^20 cells, 0.40 s at 2^22 and 0.24 s
-# at 2^24, at a peak RSS of 38.3, 44.5 and 72.3 MB.
+# child cells (rows x (pattern lineages + host lineages)) that one slice
+# of the brute force's frontier may grow into.  On a 2-vCPU Xeon, h3-cii
+# on a 120-leaf network took 0.70 s at 2^20 cells, 0.25 s at 2^22 and
+# 0.19 s at 2^24, at a peak RSS of 39.1, 44.7 and 74.4 MB.
 BRUTE_CELLS = 1 << 22
 
 
@@ -372,56 +372,53 @@ def _embeddings(plan: _BrutePlan, host: EventStructure) -> int:
     event and land the final pattern lineages on external host lineages.
 
     The frontier of partial maps is a set of rows: lin (the host lineage
-    of each pattern lineage, or -1), taken (host lineages used) and used
-    (host events used).  Each pattern event tries every host event of its
-    kind under both alignments; a candidate survives when its bound slots
-    agree with lin, its free slots land on host lineages not yet taken
-    and its host event is unused.  The rows are expanded depth first, one
+    of each pattern lineage, or -1) and taken (host lineages used).  Each
+    pattern event tries every host event of its kind under both
+    alignments; a candidate survives when its bound slots agree with lin
+    and its free slots land on host lineages not yet taken.  A pattern
+    event's produced lineages are free slots, so a host event already
+    mapped (its produced lineages taken) is never mapped again: the maps
+    are injective on host events.  The rows are expanded depth first, one
     slice of at most BRUTE_CELLS child cells at a time."""
-    n_lin, n_ev = len(host.consumer), host.n_events
-    width = plan.n_lineages + n_lin + n_ev
+    n_lin = len(host.consumer)
+    width = plan.n_lineages + n_lin
     external = np.array(host.consumer) == -1
-    cand = {}
-    for kind, w in (("B", 3), ("R", 5)):
-        evs = [e for e in range(n_ev) if host.kinds[e] == kind]
-        cand[kind] = (np.array(evs, dtype=np.intp), np.array(
-            [host.consumed[e] + host.produced[e] for e in evs],
-            dtype=np.intp).reshape(-1, w))
+    cand = {kind: np.array([host.consumed[e] + host.produced[e]
+                            for e in range(host.n_events) if host.kinds[e] == kind],
+                           dtype=np.intp).reshape(-1, w)
+            for kind, w in (("B", 3), ("R", 5))}
 
-    def expand(depth, lin, taken, used) -> int:
+    def expand(depth, lin, taken) -> int:
         if depth == len(plan.kinds):
             return int(np.count_nonzero(external[lin[:, plan.final]].all(axis=1)))
-        events, hosts = cand[plan.kinds[depth]]
-        if not len(events):
+        hosts = cand[plan.kinds[depth]]
+        if not len(hosts):
             return 0
-        step = max(1, BRUTE_CELLS // (2 * len(events) * width))
+        step = max(1, BRUTE_CELLS // (2 * len(hosts) * width))
         total = 0
         for lo in range(0, len(lin), step):
-            part = (lin[lo:lo + step], taken[lo:lo + step], used[lo:lo + step])
-            children = [_extend(*part, events, hosts, *slots)
+            part = (lin[lo:lo + step], taken[lo:lo + step])
+            children = [_extend(*part, hosts, *slots)
                         for slots in plan.slots[depth]]
             total += expand(depth + 1, *(np.concatenate(c) for c in zip(*children)))
         return total
 
     return expand(0, np.full((1, plan.n_lineages), -1, dtype=np.intp),
-                  np.zeros((1, n_lin), dtype=bool), np.zeros((1, n_ev), dtype=bool))
+                  np.zeros((1, n_lin), dtype=bool))
 
 
-def _extend(lin, taken, used, events, hosts, bpos, bpl, fpos, fpl):
-    """Children of rows (lin, taken, used) that map the next pattern
-    event to some host event under one alignment."""
-    ok = ~used[:, events]
+def _extend(lin, taken, hosts, bpos, bpl, fpos, fpl):
+    """Children of rows (lin, taken) that map the next pattern event to
+    some host event under one alignment."""
+    ok = ~taken[:, hosts[:, fpos]].any(axis=2)
     if len(bpos):
         ok &= (lin[:, bpl, None] == hosts[:, bpos].T).all(axis=1)
-    ok &= ~taken[:, hosts[:, fpos]].any(axis=2)
     r, j = np.nonzero(ok)
     new = hosts[j[:, None], fpos]
-    lin, taken, used = lin[r], taken[r], used[r]
+    lin, taken = lin[r], taken[r]
     lin[:, fpl] = new
-    rows = np.arange(len(r))
-    taken[rows[:, None], new] = True
-    used[rows, events[j]] = True
-    return lin, taken, used
+    taken[np.arange(len(r))[:, None], new] = True
+    return lin, taken
 
 
 def count_occurrences_bruteforce(network: Union[Network, EventStructure],

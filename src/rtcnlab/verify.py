@@ -134,15 +134,16 @@ def suite_coupling(rep: SuiteReport, opts: dict) -> None:
         for lo in range(0, total, rows):
             batch = networks.history_batch(n, lo, min(lo + rows, total))
             counts = patterns.count_batch(batch, names)
-            for cid in chain_ids:
+            for cid in tables:
                 montecarlo._merge_counts(emp[cid], counts[:, columns[cid]])
+        exact = {cid: chains.observe_law(t, next(laws[cid]))
+                 for cid, t in tables.items()}
         for cid in chain_ids:
             empirical = {k: Fraction(v, total) for k, v in emp[cid].items()}
-            exact = chains.observe_law(tables[cid], next(laws[cid]))
-            exact = {k: p for k, p in exact.items() if p != 0}
-            ok = empirical == exact
+            law = {k: p for k, p in exact[cid].items() if p != 0}
+            ok = empirical == law
             rep.add(f"coupling:{cid}:n={n}", ok,
-                    histories=total, states=len(exact))
+                    histories=total, states=len(law))
 
 
 @_suite

@@ -251,6 +251,12 @@ def test_coupling_sub_batch_boundaries(monkeypatch):
     assert verify.suite_coupling({"n_max": 6}).to_dict()["checks"] == want
 
 
+def test_coupling_suite_repeated_chain_id():
+    rep = verify.suite_coupling({"n_max": 5, "chains": ["trident", "c-i", "trident"]})
+    assert rep.passed
+    assert len(rep.checks) == 3 * 4
+
+
 def test_coupling_suite_all_chains():
     rep = verify.suite_coupling({"n_max": 6, "chains": list(chains.BUILTIN_IDS)})
     assert rep.passed

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtcnlab import networks as nw
 from rtcnlab import patterns as pt
@@ -84,6 +84,12 @@ def test_overlap_shape_contains_two_base_occurrences():
 
 
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32))
+@example(n=25, seed=775)
+@example(n=28, seed=868)
+@example(n=31, seed=961)
+@example(n=34, seed=1054)
+@example(n=37, seed=1147)
+@example(n=40, seed=1240)
 @settings(max_examples=40, deadline=None)
 def test_fast_equals_generic_equals_bruteforce(n, seed):
     net = nw.generate(n, seed)
@@ -255,15 +261,6 @@ def test_bruteforce_equals_generic_on_random_patterns():
                 assert got[0] >= 1, spec
 
 
-def test_fast_equals_generic_equals_bruteforce_at_25_to_40():
-    for n in range(25, 41, 3):
-        net = nw.generate(n, 31 * n)
-        for pid, spec in CAT.items():
-            fast = pt.count_occurrences(net, pid)
-            assert pt.count_occurrences_generic(net, spec) == fast, (pid, n)
-            assert pt.count_occurrences_bruteforce(net, spec) == fast, (pid, n)
-
-
 def test_bruteforce_slices_do_not_change_counts(monkeypatch):
     nets = [nw.generate(n, n) for n in (9, 17, 30)]
     want = [[pt.count_occurrences(net, pid) for pid in CAT] for net in nets]
@@ -275,7 +272,7 @@ def test_bruteforce_slices_do_not_change_counts(monkeypatch):
 
 def test_bruteforce_maps_are_injective(monkeypatch):
     # two disjoint cherries, a shape the public entry points refuse: only
-    # the injectivity checks keep its events on distinct host events
+    # the taken-lineage check keeps its events on distinct host events
     monkeypatch.setattr(PatternSpec, "validate", lambda self: None)
     plan = pt._brute_plan.__wrapped__(PatternSpec(2, (Branching(0), Branching(1))))
     for events, c in (((Branching(0), Branching(1)), 2),
