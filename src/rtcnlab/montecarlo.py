@@ -115,13 +115,8 @@ class SampleSummary:
         """E[(X - mean)^order], orders up to 6, from the raw power sums."""
         if not 0 <= order <= 6:
             raise ValueError("central moments tracked up to order 6")
-        i = self.index(component)
-        m = self.mean(component)
-        total = 0.0
-        for p in range(order + 1):
-            total += (math.comb(order, p) * self.power_sums[i][p]
-                      * (-m) ** (order - p))
-        return total / self.reps
+        return self.standardized_moment_about(component, self.mean(component),
+                                              1.0, order)
 
     def falling_moment(self, component, order: int) -> float:
         """E[X (X-1) ... (X-order+1)] exactly, orders up to 4."""
@@ -599,6 +594,12 @@ def _merge_counts(target: Dict[Tuple[int, ...], int], rows: np.ndarray) -> None:
         target[key] = target.get(key, 0) + cnt
 
 
+def forward_rows(n: int) -> int:
+    """Rows of one lockstep sub-batch of n-leaf networks: at most
+    FORWARD_CELLS lineage slots, and at least one row."""
+    return max(1, FORWARD_CELLS // (3 * n - 2))
+
+
 def run_experiment(cfg: ExperimentConfig,
                    raw_csv: Optional[str] = None) -> SampleSummary:
     """Run all replications, block by block in order, and summarize; with
@@ -610,7 +611,7 @@ def run_experiment(cfg: ExperimentConfig,
     r is the network networks.generate grows on stream r + 1."""
     if cfg.source == "forward":
         components = cfg.pattern_ids
-        block = max(1, FORWARD_CELLS // (3 * cfg.n - 2))
+        block = forward_rows(cfg.n)
 
         def work(lo, hi):
             return patterns.count_batch(networks.generate_batch(

@@ -271,12 +271,6 @@ class NodeGraph:
     node_rank: dict  # node -> event rank (1-based), where applicable
     n_events: int
 
-    def out_edges(self, v):
-        return [e for e in self.edges if e[0] == v]
-
-    def in_edges(self, v):
-        return [e for e in self.edges if e[1] == v]
-
 
 def _node_graph_from_structure(s: EventStructure) -> NodeGraph:
     types = [NODE_ROOT]

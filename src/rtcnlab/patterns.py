@@ -7,9 +7,12 @@ relative ranks of pattern events are ignored, and occurrences are counted
 modulo the pattern's own symmetries (branching child swap, reticulation
 side swap).  Overlapping occurrences count separately.
 
-Three counting routes are provided: closed-form counters for the shipped
-catalog, a generic anchored matcher for arbitrary patterns, and a brute
-force embedding enumerator over arrays, used as the oracle in tests.
+Three counting routes are provided: closed forms for the shipped catalog,
+a generic anchored matcher for arbitrary patterns, and a brute force
+embedding enumerator over arrays, used as the oracle in tests.  Each
+closed form is written once, as masks over per-event fringe properties;
+count_occurrences evaluates it on the bitsets of one network and
+count_batch on the bool arrays of a lockstep batch.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .networks import (Branching, Event, EventLogError, EventStructure,
-                       Network, Reticulation, ROLE_RETIC_MIDDLE,
-                       ROLE_RETIC_OUTER)
+                       Network, Reticulation, ROLE_RETIC_MIDDLE)
 
 _DATA_DIR = Path(__file__).parent / "data" / "patterns"
 
@@ -78,13 +80,10 @@ class PatternSpec:
 TRIVIAL = PatternSpec(1, ())
 
 
-def _is_connected(s: EventStructure) -> bool:
-    # vertices: events 0..E-1 and initial lineages E..E+k-1
-    k = s.initial_count
-    E = s.n_events
-    if E == 0:
-        return k == 1
-    parent = list(range(E + k))
+def _components(n_vertices: int, edges) -> List[int]:
+    """The root of each vertex 0..n_vertices-1 after a union-find merges
+    the endpoints of every edge."""
+    parent = list(range(n_vertices))
 
     def find(x):
         while parent[x] != x:
@@ -92,17 +91,18 @@ def _is_connected(s: EventStructure) -> bool:
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return [find(v) for v in range(n_vertices)]
 
-    for l in range(s.n_lineages):
-        pe = s.prod_ev[l]
-        ce = s.consumer[l]
-        pv = (E + l) if pe == -1 else pe  # initial lineages are the first k
-        if ce != -1:
-            union(pv, ce)
-    root = find(0)
-    return all(find(v) == root for v in range(E + k))
+
+def _is_connected(s: EventStructure) -> bool:
+    # vertices: events 0..E-1 and initial lineages E..E+k-1 (the initial
+    # lineages are lineages 0..k-1)
+    E = s.n_events
+    edges = [(E + l if s.prod_ev[l] == -1 else s.prod_ev[l], s.consumer[l])
+             for l in range(s.n_lineages) if s.consumer[l] != -1]
+    return len(set(_components(E + s.initial_count, edges))) == 1
 
 
 # -- canonical form --------------------------------------------------------
@@ -168,7 +168,7 @@ def canonicalize(p: PatternSpec) -> CanonicalPattern:
             text = _serialize_under(s, order, swaps)
             if best is None or text < best:
                 best = text
-    aut = _count_embeddings(s, s, require_external=True)
+    aut = _count_embeddings(s, s)
     return CanonicalPattern(best, aut)
 
 
@@ -202,14 +202,7 @@ def _match_plan(s: EventStructure):
     return order
 
 
-def _event_alignments(kind):
-    # branching: child swap; reticulation: joint side swap (consumed pair
-    # and outer children swap together, the middle child is fixed)
-    return (0, 1)
-
-
-def _count_embeddings(pat: EventStructure, net: EventStructure,
-                      require_external: bool = True) -> int:
+def _count_embeddings(pat: EventStructure, net: EventStructure) -> int:
     """Number of embeddings of the pattern into the host structure.
 
     An embedding maps pattern events injectively to host events of the
@@ -218,11 +211,10 @@ def _count_embeddings(pat: EventStructure, net: EventStructure,
     """
     E = pat.n_events
     if E == 0:
-        return len(net.final_lineages()) if require_external else net.n_lineages
+        return len(net.final_lineages())
     order = _match_plan(pat)
     pat_final = set(pat.final_lineages())
 
-    ev_map: Dict[int, int] = {}
     lin_map: Dict[int, int] = {}
     used_ev = set()
     used_lin = set()
@@ -233,7 +225,7 @@ def _count_embeddings(pat: EventStructure, net: EventStructure,
             return lin_map[pl] == nl
         if nl in used_lin:
             return False
-        if require_external and pl in pat_final and not net.is_external(nl):
+        if pl in pat_final and not net.is_external(nl):
             return False
         lin_map[pl] = nl
         used_lin.add(nl)
@@ -283,16 +275,17 @@ def _count_embeddings(pat: EventStructure, net: EventStructure,
         for ne in candidates(pe):
             if ne in used_ev or net.kinds[ne] != pat.kinds[pe]:
                 continue
-            for swap in _event_alignments(pat.kinds[pe]):
+            # branching: child swap; reticulation: joint side swap (the
+            # consumed pair and outer children swap together, the middle
+            # child is fixed)
+            for swap in (0, 1):
                 bound: List[int] = []
-                ev_map[pe] = ne
                 used_ev.add(ne)
                 if try_event(pe, ne, swap, bound):
                     rec(i + 1)
                 for pl in bound:
                     used_lin.discard(lin_map.pop(pl))
                 used_ev.discard(ne)
-                ev_map.pop(pe, None)
 
     rec(0)
     return count
@@ -451,222 +444,73 @@ def _divide(emb: int, aut: int) -> int:
 # -- closed-form counters for the catalog ----------------------------------
 
 
-def _ext(s, l):
-    return s.consumer[l] == -1
+class _Fringe:
+    """Per-event masks of one EventStructure that the closed forms count:
+    bit e of each mask, a Python int, is set when event e has the
+    property.  _BatchFringe holds the same masks for a whole lockstep
+    batch.
 
+    cherry: a branching with both children external.  full: a
+    reticulation with all three produced lineages external.  For the
+    first consumed lineage x of an event, with producer p: bp_x, p is a
+    branching and x's sibling is external; ro_x, x is an outer lineage of
+    a reticulation p whose other two lineages are external; rm_x, x is
+    the middle lineage of a reticulation p whose outer lineages are
+    external.  The root edge and a pattern's initial lineages have no
+    producer p, and no mask that needs one holds for them.  The _y masks are the same for the
+    second consumed lineage y; they, and distinct (x and y come from
+    different events), are meaningful only under full.  Among the full
+    reticulations whose x and y come from one event p: same_branch, p is
+    a branching; b_iv, x and y are an outer and the middle lineage of p
+    and p's other outer lineage is external; b_v, x and y are p's outer
+    lineages and its middle lineage is external.
+    """
 
-def _branch_parent(s, l):
-    """Producer of l if it is a branching event with external sibling."""
-    e = s.prod_ev[l]
-    if e == -1 or s.kinds[e] != "B":
-        return None
-    a, b = s.produced[e]
-    return e if _ext(s, b if l == a else a) else None
-
-
-def _retic_parent_outer(s, l):
-    e = s.prod_ev[l]
-    if e == -1 or s.kinds[e] != "R" or s.prod_role[l] != ROLE_RETIC_OUTER:
-        return None
-    a, b, m = s.produced[e]
-    other = b if l == a else a
-    return e if _ext(s, other) and _ext(s, m) else None
-
-
-def _retic_parent_mid(s, l):
-    if s.prod_role[l] != ROLE_RETIC_MIDDLE:
-        return None
-    e = s.prod_ev[l]
-    a, b, m = s.produced[e]
-    return e if _ext(s, a) and _ext(s, b) else None
-
-
-def _full_retic_events(s):
-    for e in range(s.n_events):
-        if s.kinds[e] == "R":
-            a, b, m = s.produced[e]
-            if _ext(s, a) and _ext(s, b) and _ext(s, m):
-                yield e
-
-
-def _count_cherry(s):
-    return sum(1 for e in range(s.n_events)
-               if s.kinds[e] == "B"
-               and _ext(s, s.produced[e][0]) and _ext(s, s.produced[e][1]))
-
-
-def _count_trident(s):
-    return sum(1 for _ in _full_retic_events(s))
-
-
-def _count_a_i(s):
-    c = 0
-    for f in range(1, s.n_events):
-        if s.kinds[f] != "B":
-            continue
-        a, b = s.produced[f]
-        if _ext(s, a) and _ext(s, b) and _branch_parent(s, s.consumed[f][0]) is not None:
-            c += 1
-    return c
-
-
-def _count_a_ii(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        ex, ey = s.prod_ev[x], s.prod_ev[y]
-        if ex != -1 and ex == ey and s.kinds[ex] == "B":
-            c += 1
-    return c
-
-
-def _count_b_i(s):
-    c = 0
-    for r in _full_retic_events(s):
-        for l in s.consumed[r]:
-            if _branch_parent(s, l) is not None:
-                c += 1
-    return c
-
-
-def _count_b_ii(s):
-    c = 0
-    for f in range(1, s.n_events):
-        if s.kinds[f] != "B":
-            continue
-        a, b = s.produced[f]
-        if _ext(s, a) and _ext(s, b) and \
-                _retic_parent_outer(s, s.consumed[f][0]) is not None:
-            c += 1
-    return c
-
-
-def _count_b_iii(s):
-    c = 0
-    for f in range(1, s.n_events):
-        if s.kinds[f] != "B":
-            continue
-        a, b = s.produced[f]
-        if _ext(s, a) and _ext(s, b) and \
-                _retic_parent_mid(s, s.consumed[f][0]) is not None:
-            c += 1
-    return c
-
-
-def _count_b_iv(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        ex, ey = s.prod_ev[x], s.prod_ev[y]
-        if ex == -1 or ex != ey or s.kinds[ex] != "R":
-            continue
-        roles = {s.prod_role[x], s.prod_role[y]}
-        if roles == {ROLE_RETIC_OUTER, ROLE_RETIC_MIDDLE}:
-            rem = [l for l in s.produced[ex] if l not in (x, y)]
-            if all(_ext(s, l) for l in rem):
-                c += 1
-    return c
-
-
-def _count_b_v(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        ex, ey = s.prod_ev[x], s.prod_ev[y]
-        if ex == -1 or ex != ey or s.kinds[ex] != "R":
-            continue
-        if s.prod_role[x] == ROLE_RETIC_OUTER and s.prod_role[y] == ROLE_RETIC_OUTER:
-            if _ext(s, s.produced[ex][2]):
-                c += 1
-    return c
-
-
-def _count_c_i(s):
-    c = 0
-    for r in _full_retic_events(s):
-        for l in s.consumed[r]:
-            e = s.prod_ev[l]
-            if e != -1 and s.kinds[e] == "R" and s.prod_role[l] == ROLE_RETIC_OUTER:
-                a, b, m = s.produced[e]
-                other = b if l == a else a
-                if _ext(s, other) and _ext(s, m):
-                    c += 1
-    return c
-
-
-def _count_c_ii(s):
-    c = 0
-    for r in _full_retic_events(s):
-        for l in s.consumed[r]:
-            if _retic_parent_mid(s, l) is not None:
-                c += 1
-    return c
-
-
-def _count_h3_bi(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        e1, e2 = _branch_parent(s, x), _branch_parent(s, y)
-        if e1 is not None and e2 is not None and e1 != e2:
-            c += 1
-    return c
-
-
-def _count_h3_ci(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        e1, e2 = _retic_parent_outer(s, x), _retic_parent_outer(s, y)
-        if e1 is not None and e2 is not None and e1 != e2:
-            c += 1
-    return c
-
-
-def _count_h3_cii(s):
-    c = 0
-    for r in _full_retic_events(s):
-        x, y = s.consumed[r]
-        e1, e2 = _retic_parent_mid(s, x), _retic_parent_mid(s, y)
-        if e1 is not None and e2 is not None and e1 != e2:
-            c += 1
-    return c
-
-
-_FAST_COUNTERS = {
-    "cherry": _count_cherry,
-    "trident": _count_trident,
-    "a-i": _count_a_i,
-    "a-ii": _count_a_ii,
-    "b-i": _count_b_i,
-    "b-ii": _count_b_ii,
-    "b-iii": _count_b_iii,
-    "b-iv": _count_b_iv,
-    "b-v": _count_b_v,
-    "c-i": _count_c_i,
-    "c-ii": _count_c_ii,
-    "h3-bi": _count_h3_bi,
-    "h3-ci": _count_h3_ci,
-    "h3-cii": _count_h3_cii,
-}
-
-
-# -- the same counters over a lockstep batch -------------------------------
+    def __init__(self, s: EventStructure):
+        ext = [c == -1 for c in s.consumer]
+        # what each lineage is to its producer: 1 bp, 2 ro, 3 rm, 0 none;
+        # a lineage's producer comes before its consumer in rank order
+        side = [0] * len(ext)
+        at_x, at_y = [0] * 4, [0] * 4
+        self.cherry = self.full = self.distinct = 0
+        self.same_branch = self.b_iv = self.b_v = 0
+        for e, (kind, cons, prod) in enumerate(zip(s.kinds, s.consumed,
+                                                   s.produced)):
+            bit = 1 << e
+            at_x[side[cons[0]]] |= bit
+            if kind == "B":
+                a, b = prod
+                if ext[a] and ext[b]:
+                    self.cherry |= bit
+                side[a], side[b] = ext[b], ext[a]
+                continue
+            x, y = cons
+            at_y[side[y]] |= bit
+            a, b, m = prod
+            side[a], side[b] = 2 * (ext[b] and ext[m]), 2 * (ext[a] and ext[m])
+            side[m] = 3 * (ext[a] and ext[b])
+            p, q = s.prod_ev[x], s.prod_ev[y]
+            if p != q:
+                self.distinct |= bit
+            if not (ext[a] and ext[b] and ext[m]):
+                continue
+            self.full |= bit
+            if p != q or p == -1:
+                continue
+            if s.kinds[p] == "B":
+                self.same_branch |= bit
+            elif ext[sum(s.produced[p]) - x - y]:
+                if ROLE_RETIC_MIDDLE in (s.prod_role[x], s.prod_role[y]):
+                    self.b_iv |= bit
+                else:
+                    self.b_v |= bit
+        _, self.bp_x, self.ro_x, self.rm_x = at_x
+        _, self.bp_y, self.ro_y, self.rm_y = at_y
 
 
 class _BatchFringe:
-    """Per-event masks (m, n-1) of a LockstepBatch that the batch
-    counters sum.
-
-    cherry: a branching with both children external; full: a
-    reticulation with all three lineages external.  bp_x, ro_x and rm_x
-    hold where _branch_parent, _retic_parent_outer and _retic_parent_mid
-    of the event's first consumed lineage x are not None; the _y masks
-    are the same for the second one, y, and are meaningful only under
-    full (a branching's y is -1).  distinct: x and y come from different
-    events.  same_branch, b_iv and b_v: full reticulations whose x and y
-    come from one event, as in _count_a_ii, _count_b_iv and _count_b_v.
-    """
+    """The masks of _Fringe for every network of a LockstepBatch, as
+    (m, n-1) bool arrays whose column e is bit e."""
 
     def __init__(self, batch):
         ext = batch.consumer < 0
@@ -704,25 +548,23 @@ def _at(a, idx):
     return a.ravel()[idx + width * np.arange(rows)[:, None]]
 
 
-def _rowsum(*masks):
-    return sum(np.count_nonzero(mask, axis=1) for mask in masks)
-
-
-_BATCH_COUNTERS = {
-    "cherry": lambda f: _rowsum(f.cherry),
-    "trident": lambda f: _rowsum(f.full),
-    "a-i": lambda f: _rowsum(f.cherry & f.bp_x),
-    "a-ii": lambda f: _rowsum(f.same_branch),
-    "b-i": lambda f: _rowsum(f.full & f.bp_x, f.full & f.bp_y),
-    "b-ii": lambda f: _rowsum(f.cherry & f.ro_x),
-    "b-iii": lambda f: _rowsum(f.cherry & f.rm_x),
-    "b-iv": lambda f: _rowsum(f.b_iv),
-    "b-v": lambda f: _rowsum(f.b_v),
-    "c-i": lambda f: _rowsum(f.full & f.ro_x, f.full & f.ro_y),
-    "c-ii": lambda f: _rowsum(f.full & f.rm_x, f.full & f.rm_y),
-    "h3-bi": lambda f: _rowsum(f.full & f.bp_x & f.bp_y & f.distinct),
-    "h3-ci": lambda f: _rowsum(f.full & f.ro_x & f.ro_y & f.distinct),
-    "h3-cii": lambda f: _rowsum(f.full & f.rm_x & f.rm_y & f.distinct),
+# the catalog's closed forms: the masks of a fringe whose set bits, each
+# one event, are the occurrences
+_CLOSED_FORMS = {
+    "cherry": lambda f: (f.cherry,),
+    "trident": lambda f: (f.full,),
+    "a-i": lambda f: (f.cherry & f.bp_x,),
+    "a-ii": lambda f: (f.same_branch,),
+    "b-i": lambda f: (f.full & f.bp_x, f.full & f.bp_y),
+    "b-ii": lambda f: (f.cherry & f.ro_x,),
+    "b-iii": lambda f: (f.cherry & f.rm_x,),
+    "b-iv": lambda f: (f.b_iv,),
+    "b-v": lambda f: (f.b_v,),
+    "c-i": lambda f: (f.full & f.ro_x, f.full & f.ro_y),
+    "c-ii": lambda f: (f.full & f.rm_x, f.full & f.rm_y),
+    "h3-bi": lambda f: (f.full & f.bp_x & f.bp_y & f.distinct,),
+    "h3-ci": lambda f: (f.full & f.ro_x & f.ro_y & f.distinct,),
+    "h3-cii": lambda f: (f.full & f.rm_x & f.rm_y & f.distinct,),
 }
 
 
@@ -733,7 +575,7 @@ def count_batch(batch, pattern_ids) -> np.ndarray:
     f = _BatchFringe(batch)
     out = np.empty((len(batch.kind), len(pattern_ids)), dtype=np.int64)
     for k, pid in enumerate(pattern_ids):
-        out[:, k] = _BATCH_COUNTERS[pid](f)
+        out[:, k] = sum(np.count_nonzero(m, axis=1) for m in _CLOSED_FORMS[pid](f))
     return out
 
 
@@ -815,13 +657,14 @@ def count_occurrences(network: Union[Network, EventStructure],
                       p: Union[str, PatternSpec]) -> int:
     """Occurrences of the pattern on the fringe of the network.
 
-    Catalog shapes use O(events) closed-form counters; anything else goes
-    through the anchored matcher.  Both agree with the brute force oracle.
+    Catalog shapes are counted by their closed forms on the network's
+    fringe masks, in O(events); anything else goes through the anchored
+    matcher.  Both agree with the brute force oracle.
     """
     net = network.structure if isinstance(network, Network) else network
     pid, spec = resolve(p)
     if pid is not None:
-        return _FAST_COUNTERS[pid](net)
+        return sum(m.bit_count() for m in _CLOSED_FORMS[pid](_Fringe(net)))
     return count_occurrences_generic(net, spec)
 
 
@@ -841,34 +684,21 @@ def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
     if event_index not in maximal_events(p):
         raise PatternError("only maximal events can be removed")
     keep = [e for e in range(s.n_events) if e != event_index]
-    # union-find over kept events and initial lineages
-    k = s.initial_count
+    # components over kept events and initial lineages
     ids = {("e", e): i for i, e in enumerate(keep)}
-    for i in range(k):
+    for i in range(s.initial_count):
         ids[("l", i)] = len(ids)
-    parent = list(range(len(ids)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
 
     def vertex(l):
         pe = s.prod_ev[l]
         return ids[("e", pe)] if pe != -1 else ids.get(("l", l))
 
-    for e in keep:
-        for l in s.consumed[e]:
-            v = vertex(l)
-            if v is not None:
-                union(v, ids[("e", e)])
+    roots = _components(len(ids), [
+        (vertex(l), ids[("e", e)]) for e in keep for l in s.consumed[e]
+        if vertex(l) is not None])
     comps: Dict[int, Dict[str, list]] = {}
     for key, idx in ids.items():
-        comps.setdefault(find(idx), {"events": [], "lineages": []})[
+        comps.setdefault(roots[idx], {"events": [], "lineages": []})[
             "events" if key[0] == "e" else "lineages"].append(key[1])
     out = []
     for comp in comps.values():

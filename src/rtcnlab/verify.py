@@ -116,8 +116,8 @@ def suite_coupling(rep: SuiteReport, opts: dict) -> None:
     """Exact distributional identity between full history enumeration and
     the chain laws, for every leaf count up to the configured maximum.
 
-    The histories of each n are grown in lockstep sub-batches of at most
-    montecarlo.FORWARD_CELLS lineage slots and counted as arrays; each
+    The histories of each n are grown in lockstep sub-batches of
+    montecarlo.forward_rows(n) rows and counted as arrays; each
     chain law is propagated once, up to n_max, by chains.exact_laws."""
     n_max = int(opts.get("n_max", opts.get("n", 7)))
     networks.check_enumerable(n_max)
@@ -130,7 +130,7 @@ def suite_coupling(rep: SuiteReport, opts: dict) -> None:
     for n in range(2, n_max + 1):
         emp: Dict[str, Dict[tuple, int]] = {cid: {} for cid in chain_ids}
         total = networks.history_count(n)
-        rows = max(1, montecarlo.FORWARD_CELLS // (3 * n - 2))
+        rows = montecarlo.forward_rows(n)
         for lo in range(0, total, rows):
             batch = networks.history_batch(n, lo, min(lo + rows, total))
             counts = patterns.count_batch(batch, names)

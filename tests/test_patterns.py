@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -92,12 +93,21 @@ def test_overlap_shape_contains_two_base_occurrences():
 @example(n=40, seed=1240)
 @settings(max_examples=40, deadline=None)
 def test_fast_equals_generic_equals_bruteforce(n, seed):
-    net = nw.generate(n, seed)
+    _assert_counters_agree(nw.generate(n, seed), (n, seed))
+
+
+def test_fast_equals_generic_equals_bruteforce_on_pattern_hosts():
+    # a pattern's initial lineages, like the root edge, have no producer
+    for host_id, host in CAT.items():
+        _assert_counters_agree(host.structure(), host_id)
+
+
+def _assert_counters_agree(host, label):
     for pid, spec in CAT.items():
-        fast = pt.count_occurrences(net, pid)
-        generic = pt.count_occurrences_generic(net, spec)
-        brute = pt.count_occurrences_bruteforce(net, spec)
-        assert fast == generic == brute, (pid, n, seed)
+        fast = pt.count_occurrences(host, pid)
+        generic = pt.count_occurrences_generic(host, spec)
+        brute = pt.count_occurrences_bruteforce(host, spec)
+        assert fast == generic == brute, (pid, label)
 
 
 @given(n=st.integers(2, 25), seed=st.integers(0, 2**32))
@@ -168,6 +178,33 @@ def test_count_batch_on_histories_equals_scalar_counts():
         want = [[pt.count_occurrences(net, pid) for pid in ids]
                 for net, _ in nw.enumerate_histories(n)]
         assert got.tolist() == want, n
+
+
+_MASKS = ("cherry", "full", "bp_x", "bp_y", "ro_x", "ro_y", "rm_x", "rm_y",
+          "distinct", "same_branch", "b_iv", "b_v")
+# meaningful only under full: a branching has no second consumed lineage
+_UNDER_FULL = ("bp_y", "ro_y", "rm_y", "distinct")
+
+
+def test_scalar_fringe_masks_equal_batch_fringe_masks():
+    cases = [(nw.history_batch(n, 0, nw.history_count(n)),
+              [net for net, _ in nw.enumerate_histories(n)])
+             for n in range(2, 7)]
+    streams = range(1, 21)
+    cases += [(nw.generate_batch(n, 3, streams),
+               [nw.generate(n, 3, r) for r in streams]) for n in (24, 200)]
+    for batch, nets in cases:
+        f = pt._BatchFringe(batch)
+        for r, net in enumerate(nets):
+            scalar = pt._Fringe(net.structure)
+            for name in _MASKS:
+                row = getattr(f, name)[r]
+                bits = getattr(scalar, name)
+                if name in _UNDER_FULL:
+                    row, bits = row & f.full[r], bits & scalar.full
+                assert bits == sum(1 << int(e) for e in np.flatnonzero(row)), \
+                    (name, net.n_leaves, r)
+
 
 def test_trivial_pattern_counts_external_lineages():
     net = nw.generate(7, 1)
