@@ -11,6 +11,7 @@ statistic is derived from that histogram.
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,14 +79,17 @@ class SampleSummary:
         if total != self.reps:
             raise ValueError(f"histogram holds {total} replications, "
                              f"reps is {self.reps}")
-        self.power_sums = [
-            [sum(key[i] ** p * w for key, w in self.histogram.items())
-             for p in range(7)]
-            for i in range(len(self.components))]
-        self.cross_sums = {
-            (i, j): sum(key[i] * key[j] * w for key, w in self.histogram.items())
-            for i in range(len(self.components))
-            for j in range(i + 1, len(self.components))}
+        k = len(self.components)
+        keys, w = _histogram_arrays(self.histogram, k)
+        term = np.repeat(w[:, None], k, axis=1)
+        power = [term.sum(axis=0)]
+        for _ in range(6):
+            term = term * keys
+            power.append(term.sum(axis=0))
+        self.power_sums = np.array(power).T.tolist()
+        cross = (keys.T @ (keys * w[:, None])).tolist()
+        self.cross_sums = {(i, j): cross[i][j]
+                           for i in range(k) for j in range(i + 1, k)}
 
     def index(self, component) -> int:
         if isinstance(component, int):
@@ -178,6 +182,25 @@ class SampleSummary:
         return {"source": self.source, "n": self.n, "reps": self.reps,
                 "seed": self.seed, "components": list(self.components),
                 "statistics": comps, "covariances": covs}
+
+
+def _histogram_arrays(histogram: Dict[Tuple[int, ...], int], k: int):
+    """The histogram's keys as a (len(histogram), k) matrix and its
+    weights: int64 when no power sum up to the sixth or cross sum can
+    reach 2^63 (max |key|^6 times the total weight is below it), else
+    object arrays of Python ints."""
+    rows = len(histogram)
+    try:
+        keys = np.fromiter(itertools.chain.from_iterable(histogram),
+                           dtype=np.int64, count=rows * k).reshape(rows, k)
+        w = np.fromiter(histogram.values(), dtype=np.int64, count=rows)
+    except OverflowError:
+        return (np.array(list(histogram), dtype=object).reshape(rows, k),
+                np.array(list(histogram.values()), dtype=object))
+    m = max(-int(keys.min(initial=0)), int(keys.max(initial=0)), 1)
+    if m ** 6 * int(np.abs(w).sum()) >= 1 << 63:
+        return keys.astype(object), w.astype(object)
+    return keys, w
 
 
 @dataclass

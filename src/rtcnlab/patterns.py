@@ -11,8 +11,9 @@ Three counting routes are provided: closed forms for the shipped catalog,
 a generic anchored matcher for arbitrary patterns, and a brute force
 embedding enumerator over arrays, used as the oracle in tests.  Each
 closed form is written once, as masks over per-event fringe properties;
-count_occurrences evaluates it on the bitsets of one network and
-count_batch on the bool arrays of a lockstep batch.
+count_catalog evaluates several on the bitsets of one network,
+count_occurrences one, and count_batch several on the bool arrays of a
+lockstep batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -666,6 +667,19 @@ def count_occurrences(network: Union[Network, EventStructure],
     if pid is not None:
         return sum(m.bit_count() for m in _CLOSED_FORMS[pid](_Fringe(net)))
     return count_occurrences_generic(net, spec)
+
+
+def count_catalog(network: Union[Network, EventStructure],
+                  pattern_ids: Sequence[str]) -> Tuple[int, ...]:
+    """count_occurrences of each catalog id, in order, from one build of
+    the network's fringe masks."""
+    net = network.structure if isinstance(network, Network) else network
+    try:
+        forms = [_CLOSED_FORMS[pid] for pid in pattern_ids]
+    except KeyError as err:
+        raise KeyError(f"unknown pattern id {err.args[0]!r}") from None
+    f = _Fringe(net)
+    return tuple(sum(m.bit_count() for m in form(f)) for form in forms)
 
 
 # -- decomposition ---------------------------------------------------------

@@ -54,12 +54,20 @@ def stream_words(seed: int, streams, n_steps: int) -> np.ndarray:
     CounterStream(seed, streams[s]).words(n_steps).
 
     One generator is re-keyed per stream by assigning its state, which
-    is cheaper than constructing a generator per stream."""
+    is cheaper than constructing a generator per stream.  The state is
+    one dict of Python-int lists whose second key word is rewritten per
+    stream: numpy's state setter converts lists faster than uint64
+    arrays."""
+    seed = int(seed)
     bg = _philox(seed, 0, 0)
-    state = bg.state  # a copy: counter 0 and an empty buffer
+    key = [seed & _M64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(streams), n_steps), dtype=np.uint64)
     for row, stream in zip(out, streams):
-        state["state"]["key"] = _key(seed, stream)
+        key[1] = (_KEY_CONST ^ int(stream)) & _M64
         bg.state = state
         row[:] = bg.random_raw(4 * n_steps)[::4]
     return out

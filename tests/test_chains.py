@@ -231,7 +231,7 @@ def test_coupling_all_chains_small():
             total = 0
             for net, _ in networks.enumerate_histories(n):
                 total += 1
-                key = tuple(patterns.count_occurrences(net, x) for x in names)
+                key = patterns.count_catalog(net, names)
                 emp[key] = emp.get(key, 0) + 1
             empirical = {k: Fraction(v, total) for k, v in emp.items()}
             exact = {k: p for k, p in

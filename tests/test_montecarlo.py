@@ -139,8 +139,7 @@ def test_forward_source_is_generate_per_stream():
         cfg = mc.ExperimentConfig(source="forward", n=n, reps=reps, seed=5,
                                   pattern_ids=ids)
         want = Counter(
-            tuple(patterns.count_occurrences(
-                networks.generate(n, 5, stream=r + 1), pid) for pid in ids)
+            patterns.count_catalog(networks.generate(n, 5, stream=r + 1), ids)
             for r in range(reps))
         assert mc.run_experiment(cfg).histogram == dict(want), n
 
@@ -273,6 +272,46 @@ def test_summary_rejects_histogram_of_wrong_size():
     with pytest.raises(ValueError, match="3 replications"):
         mc.SampleSummary(components=("x",), n=0, reps=4, seed=0,
                          source="synthetic", histogram={(0,): 2, (1,): 1})
+
+
+def _scalar_sums(histogram, k):
+    """The power and cross sums key by key, in Python ints."""
+    power = [[sum(key[i] ** p * w for key, w in histogram.items())
+              for p in range(7)] for i in range(k)]
+    cross = {(i, j): sum(key[i] * key[j] * w for key, w in histogram.items())
+             for i in range(k) for j in range(i + 1, k)}
+    return power, cross
+
+
+def _assert_sums_are_scalar_sums(histogram, k):
+    s = mc.SampleSummary(components=tuple("xyzuv"[:k]), n=0,
+                         reps=sum(histogram.values()), seed=0,
+                         source="synthetic", histogram=histogram)
+    power, cross = _scalar_sums(histogram, k)
+    assert s.power_sums == power
+    assert list(s.cross_sums.items()) == list(cross.items())
+    sums = [x for row in s.power_sums for x in row] + list(s.cross_sums.values())
+    assert all(type(x) is int for x in sums)
+
+
+_SUM_KEY = st.one_of(st.integers(0, 60), st.integers(-2000, 2000),
+                     st.sampled_from([10**6, -10**6, 2**70]))
+
+
+@given(k=st.integers(0, 4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_summary_sums_equal_scalar_sums(k, data):
+    histogram = data.draw(st.dictionaries(st.tuples(*[_SUM_KEY] * k),
+                                          st.integers(1, 10**6), max_size=30))
+    _assert_sums_are_scalar_sums(histogram, k)
+
+
+def test_summary_sums_at_the_int64_bound():
+    # 1448^6 < 2^63 < 2 * 1448^6: one weight stays on int64, two do not
+    assert 1448 ** 6 < 2**63 < 2 * 1448 ** 6
+    for histogram in ({(1448, 3): 1}, {(1448, 3): 1, (-1448, 1): 1},
+                      {(10**6, 0): 7, (2, 5): 3}, {}):
+        _assert_sums_are_scalar_sums(histogram, 2)
 
 
 # -- chain kernel -------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +90,13 @@ def test_generate_batch_is_generate_relabelled():
         for r in range(40):
             s = nw.generate(n, 7, stream=r + 1).structure
             _assert_row_is_relabelled(batch, r, s, n)
+
+
+def test_generate_batch_takes_numpy_streams():
+    streams = np.array([1, 2**64 - 1, 3], dtype=np.uint64)
+    batch = nw.generate_batch(5, 0, streams)
+    for r, stream in enumerate(streams):
+        _assert_row_is_relabelled(batch, r, nw.generate(5, 0, stream).structure, 5)
 
 
 def test_history_batch_slices_are_rows_of_the_full_batch():

@@ -103,8 +103,7 @@ def test_fast_equals_generic_equals_bruteforce_on_pattern_hosts():
 
 
 def _assert_counters_agree(host, label):
-    for pid, spec in CAT.items():
-        fast = pt.count_occurrences(host, pid)
+    for (pid, spec), fast in zip(CAT.items(), pt.count_catalog(host, CAT)):
         generic = pt.count_occurrences_generic(host, spec)
         brute = pt.count_occurrences_bruteforce(host, spec)
         assert fast == generic == brute, (pid, label)
@@ -114,7 +113,7 @@ def _assert_counters_agree(host, label):
 @settings(max_examples=40, deadline=None)
 def test_footprint_conservation(n, seed):
     net = nw.generate(n, seed)
-    counts = {pid: pt.count_occurrences(net, pid) for pid in CAT}
+    counts = dict(zip(CAT, pt.count_catalog(net, CAT)))
     # disjoint-lineage partitions used by the couplings
     assert 3 * counts["a-i"] + 2 * (counts["cherry"] - counts["a-i"]) <= n
     assert 4 * counts["b-iv"] + 3 * (counts["trident"] - counts["b-iv"]) <= n
@@ -171,11 +170,21 @@ def test_overlap_counting_identity(n, seed):
 
 
 
+def test_count_catalog_is_count_occurrences_per_id():
+    net = nw.generate(12, 3)
+    ids = ("trident", "cherry", "trident", "h3-cii")
+    assert pt.count_catalog(net, ids) == tuple(
+        pt.count_occurrences(net, pid) for pid in ids)
+    assert pt.count_catalog(net.structure, ()) == ()
+    with pytest.raises(KeyError, match="unknown pattern id 'nope'"):
+        pt.count_catalog(net, ("cherry", "nope"))
+
+
 def test_count_batch_on_histories_equals_scalar_counts():
     ids = sorted(CAT)
     for n in range(2, 7):
         got = pt.count_batch(nw.history_batch(n, 0, nw.history_count(n)), ids)
-        want = [[pt.count_occurrences(net, pid) for pid in ids]
+        want = [list(pt.count_catalog(net, ids))
                 for net, _ in nw.enumerate_histories(n)]
         assert got.tolist() == want, n
 
@@ -300,7 +309,7 @@ def test_bruteforce_equals_generic_on_random_patterns():
 
 def test_bruteforce_slices_do_not_change_counts(monkeypatch):
     nets = [nw.generate(n, n) for n in (9, 17, 30)]
-    want = [[pt.count_occurrences(net, pid) for pid in CAT] for net in nets]
+    want = [list(pt.count_catalog(net, CAT)) for net in nets]
     monkeypatch.setattr(pt, "BRUTE_CELLS", 3)
     got = [[pt.count_occurrences_bruteforce(net, spec) for spec in CAT.values()]
            for net in nets]
