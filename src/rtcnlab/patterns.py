@@ -12,8 +12,8 @@ a generic anchored matcher for arbitrary patterns, and a brute force
 embedding enumerator over arrays, used as the oracle in tests.  Each
 closed form is written once, as masks over per-event fringe properties;
 count_catalog evaluates several on the bitsets of one network,
-count_occurrences one, and count_batch several on the bool arrays of a
-lockstep batch.
+count_occurrences one id through count_catalog, and count_batch
+several on the bool arrays of a lockstep batch.
 """
 
 from __future__ import annotations
@@ -658,14 +658,15 @@ def count_occurrences(network: Union[Network, EventStructure],
                       p: Union[str, PatternSpec]) -> int:
     """Occurrences of the pattern on the fringe of the network.
 
-    Catalog shapes are counted by their closed forms on the network's
-    fringe masks, in O(events); anything else goes through the anchored
-    matcher.  Both agree with the brute force oracle.
+    Catalog shapes, by id or by spec, are counted by count_catalog from
+    their closed forms on the network's fringe masks, in O(events);
+    anything else goes through the anchored matcher.  Both agree with
+    the brute force oracle.
     """
     net = network.structure if isinstance(network, Network) else network
     pid, spec = resolve(p)
     if pid is not None:
-        return sum(m.bit_count() for m in _CLOSED_FORMS[pid](_Fringe(net)))
+        return count_catalog(net, (pid,))[0]
     return count_occurrences_generic(net, spec)
 
 

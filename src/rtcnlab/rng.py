@@ -14,8 +14,12 @@ _M64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # fixed second key word
 
 
+def _key_word(stream: int) -> int:
+    return (_KEY_CONST ^ stream) & _M64
+
+
 def _key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed & _M64, (_KEY_CONST ^ stream) & _M64], dtype=np.uint64)
+    return np.array([seed & _M64, _key_word(stream)], dtype=np.uint64)
 
 
 def _philox(seed: int, stream: int, counter: int) -> np.random.Philox:
@@ -55,19 +59,18 @@ def stream_words(seed: int, streams, n_steps: int) -> np.ndarray:
 
     One generator is re-keyed per stream by assigning its state, which
     is cheaper than constructing a generator per stream.  The state is
-    one dict of Python-int lists whose second key word is rewritten per
-    stream: numpy's state setter converts lists faster than uint64
-    arrays."""
+    the generator's own dict with its arrays replaced by Python-int
+    lists, whose second key word is rewritten per stream: numpy's state
+    setter converts lists faster than uint64 arrays."""
     seed = int(seed)
     bg = _philox(seed, 0, 0)
     key = [seed & _M64, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    state = bg.state
+    state["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    state["buffer"] = [0, 0, 0, 0]
     out = np.empty((len(streams), n_steps), dtype=np.uint64)
     for row, stream in zip(out, streams):
-        key[1] = (_KEY_CONST ^ int(stream)) & _M64
+        key[1] = _key_word(int(stream))
         bg.state = state
         row[:] = bg.random_raw(4 * n_steps)[::4]
     return out
