@@ -3,7 +3,10 @@
 Each chain tracks a small vector of pattern-type counts through the
 forward construction.  A transition rule is an integer change vector
 plus a polynomial numerator in (n, a, b, c); the probability of the rule
-at leaf count n is numerator / n^2.  The tables live in data files, one
+at leaf count n is numerator / n^2.  Each numerator and observable is
+parsed once, into a sum of products of linear forms, and every evaluator
+(exact propagation, validation, observation, the Monte Carlo kernel)
+reads that form.  The tables live in data files, one
 record per case of the underlying attachment argument, so that every row
 can be audited independently.
 
@@ -14,11 +17,13 @@ common denominator prod(ell^2), so results are exact rationals.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,35 +35,146 @@ BUILTIN_IDS = ("trident", "a-i", "a-ii", "b-i", "b-ii", "b-iii",
 # derived by the same attachment-case analysis and carry the same checks
 TRANSCRIBED_IDS = ("trident", "a-i", "b-iv", "b-i", "c-i")
 
-_ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
-                  ast.Name, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
-_ALLOWED_NAMES = {"n", "a", "b", "c"}
 # support size above which exact propagation stops with a TableError
 _MAX_STATES = 2_000_000
+
+# A linear form kn*n + ka*a + kb*b + kc*c + k0 is the tuple
+# (kn, ka, kb, kc, k0), a, b, c being the components by position.  A
+# numerator or observable is parsed once into a sum of products: a dict
+# from a sorted tuple of forms (the empty tuple is the constant 1) to its
+# integer coefficient.
+_FORM_VARS = ("n", "a", "b", "c")
+_ONE = (0, 0, 0, 0, 1)
+SumOfProducts = Dict[Tuple[Tuple[int, ...], ...], int]
 
 
 class TableError(ValueError):
     pass
 
 
-def _compile_poly(text: str) -> Callable:
-    """Compile a polynomial over n, a, b, c.  Works on ints exactly and on
-    numpy arrays elementwise."""
-    tree = ast.parse(text, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise TableError(f"disallowed syntax in numerator {text!r}")
-        if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES:
-            raise TableError(f"unknown variable {node.id!r} in {text!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
-            raise TableError(f"non-integer constant in {text!r}")
-    code = compile(tree, "<numerator>", "eval")
+def _form_sop(form: Tuple[int, ...]) -> SumOfProducts:
+    """One linear form as a sum of products, with its gcd and the sign of
+    its first nonzero coefficient moved into the coefficient."""
+    g = math.gcd(*form)
+    if g == 0:
+        return {}
+    scale = g if next(x for x in form if x) > 0 else -g
+    prim = tuple(x // scale for x in form)
+    return {() if prim == _ONE else (prim,): scale}
 
-    def fn(n, a=0, b=0, c=0):
-        return eval(code, {"__builtins__": {}}, {"n": n, "a": a, "b": b, "c": c})
 
-    fn.source = text
-    return fn
+def _as_form(sop: SumOfProducts) -> Optional[Tuple[int, ...]]:
+    """The linear form a sum of products equals, or None if it has a
+    product of two or more forms."""
+    total = [0] * 5
+    for prod, coef in sop.items():
+        if len(prod) > 1:
+            return None
+        for i, x in enumerate(prod[0] if prod else _ONE):
+            total[i] += coef * x
+    return tuple(total)
+
+
+def _add_terms(out: SumOfProducts, sop: SumOfProducts,
+               sign: int = 1) -> SumOfProducts:
+    for prod, coef in sop.items():
+        coef = out.get(prod, 0) + sign * coef
+        if coef:
+            out[prod] = coef
+        else:
+            out.pop(prod, None)
+    return out
+
+
+def _sop(node, names) -> SumOfProducts:
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return _form_sop((0, 0, 0, 0, node.value))
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise TableError(
+                f"variable {node.id!r} is not one of {', '.join(names)}")
+        return _form_sop(tuple(int(node.id == v) for v in _FORM_VARS) + (0,))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return {p: -c for p, c in _sop(node.operand, names).items()}
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult)):
+        left, right = _sop(node.left, names), _sop(node.right, names)
+        if isinstance(node.op, ast.Mult):
+            out: SumOfProducts = {}
+            for p, c in left.items():
+                for q, d in right.items():
+                    _add_terms(out, {tuple(sorted(p + q)): c * d})
+            return out
+        sign = 1 if isinstance(node.op, ast.Add) else -1
+        lf, rf = _as_form(left), _as_form(right)
+        if lf is not None and rf is not None:
+            return _form_sop(tuple(x + sign * y for x, y in zip(lf, rf)))
+        return _add_terms(dict(left), right, sign)
+    raise TableError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
+def _sum_of_products(text: str, names=_FORM_VARS) -> SumOfProducts:
+    """A polynomial over names as a sum of coefficient x product of
+    linear forms.  A sum of linear forms stays one form; only non-linear
+    sums are distributed."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError:
+        raise TableError("not an expression") from None
+    return _sop(tree.body, names)
+
+
+def _form_at(form: Tuple[int, ...], point):
+    value = form[4]
+    for w, x in zip(form[:4], point):
+        if w:
+            value = value + w * x
+    return value
+
+
+def evaluate(sop: SumOfProducts, point, forms=None):
+    """A sum of products at point = (n, a, b, c) (as many coordinates as
+    the table has components), on Python ints or elementwise on arrays.
+    forms, a dict, caches the values of the linear forms at point."""
+    forms = {} if forms is None else forms
+    total = 0
+    for prod, coef in sop.items():
+        term = coef
+        for form in prod:
+            if form not in forms:
+                forms[form] = _form_at(form, point)
+            term = term * forms[form]
+        total = total + term
+    return total
+
+
+def magnitude_bound(sops: Iterable[SumOfProducts], vertices) -> int:
+    """An upper bound on the absolute value of every integer evaluate
+    forms for the sums of products sops at a point of the convex hull of
+    vertices, in any order of monomials, forms and terms: each monomial
+    of a linear form and their partial sums, each partial product of a
+    term with or without its coefficient, and every partial sum of the
+    terms of all of sops.
+
+    |form| and the sum of |monomial| are convex, so their largest values
+    on the hull lie at vertices; a partial product is at most the
+    product of max(1, largest |form|)."""
+    value: Dict[Tuple[int, ...], int] = {}
+    monomials = running = 0
+    for sop in sops:
+        for prod, coef in sop.items():
+            term = abs(coef)
+            for form in prod:
+                if form not in value:
+                    value[form] = max([1] + [math.ceil(abs(_form_at(form, v)))
+                                             for v in vertices])
+                    absolute = tuple(map(abs, form))
+                    monomials = max([monomials] + [
+                        math.ceil(_form_at(absolute, map(abs, v)))
+                        for v in vertices])
+                term *= value[form]
+            running += term
+    return max(monomials, running)
 
 
 @dataclass(frozen=True)
@@ -66,7 +182,7 @@ class TransitionRule:
     event: str
     case: str
     delta: Tuple[int, ...]
-    numerator: Callable
+    numerator: SumOfProducts
     numerator_text: str
 
 
@@ -78,21 +194,12 @@ class TransitionTable:
     footprints: Dict[str, int]
     initial: Tuple[int, ...]
     rules: List[TransitionRule]
-    observables: Dict[str, Callable]
-
-    def state_kwargs(self, state: Sequence[int]) -> dict:
-        return dict(zip(("a", "b", "c"), state))
-
-    def feasible(self, n: int, state: Sequence[int]) -> bool:
-        if any(x < 0 for x in state):
-            return False
-        load = sum(self.footprints[comp] * x
-                   for comp, x in zip(self.components, state))
-        return load <= n
+    observables: Dict[str, SumOfProducts]
 
     def observe(self, state: Sequence[int]) -> Dict[str, int]:
-        kw = self.state_kwargs(state)
-        return {name: fn(0, **kw) for name, fn in self.observables.items()}
+        point = (0,) + tuple(state)
+        return {name: evaluate(sop, point)
+                for name, sop in self.observables.items()}
 
 
 _table_cache: Dict[str, TransitionTable] = {}
@@ -108,17 +215,33 @@ def builtin_table(chain_id: str) -> TransitionTable:
 
 
 def load_table(path) -> TransitionTable:
+    """A table from its JSON file, every numerator and observable parsed
+    once.  The components are the variables a, b, c by position; a
+    numerator may also use n, an observable may not."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     comps = tuple(doc["components"])
+    if len(comps) > 3:
+        raise TableError(f"{path}: {len(comps)} components {list(comps)}; "
+                         f"at most 3 (a, b, c)")
+    names = _FORM_VARS[1:len(comps) + 1]
+
+    def parse(text, names, where):
+        try:
+            return _sum_of_products(text, names)
+        except TableError as err:
+            raise TableError(f"{path}: {where}: {err}: {text!r}") from None
+
     rules = []
-    for r in doc["rules"]:
+    for i, r in enumerate(doc["rules"]):
         delta = tuple(int(r["delta"].get(x, 0)) for x in comps)
         rules.append(TransitionRule(
             event=r["event"], case=r["case"], delta=delta,
-            numerator=_compile_poly(r["numerator"]),
+            numerator=parse(r["numerator"], ("n",) + names,
+                            f"rule {i} [{r['event']}/{r['case']}]"),
             numerator_text=r["numerator"]))
-    obs = {name: _compile_poly(expr) for name, expr in doc["observables"].items()}
+    obs = {name: parse(expr, names, f"observable {name!r}")
+           for name, expr in doc["observables"].items()}
     return TransitionTable(
         name=doc["name"], description=doc.get("description", ""),
         components=comps, footprints=dict(doc["footprints"]),
@@ -131,15 +254,9 @@ def load_table(path) -> TransitionTable:
 
 def _feasible_states(table: TransitionTable, n: int):
     fps = [table.footprints[c] for c in table.components]
-
-    def rec(i, budget, prefix):
-        if i == len(fps):
-            yield tuple(prefix)
-            return
-        for x in range(budget // fps[i] + 1):
-            yield from rec(i + 1, budget - fps[i] * x, prefix + [x])
-
-    yield from rec(0, n, [])
+    for state in itertools.product(*(range(n // f + 1) for f in fps)):
+        if sum(f * x for f, x in zip(fps, state)) <= n:
+            yield state
 
 
 def validate_table(table: TransitionTable, n_max: int = 25) -> List[str]:
@@ -148,10 +265,10 @@ def validate_table(table: TransitionTable, n_max: int = 25) -> List[str]:
     violations = []
     for n in range(2, n_max + 1):
         for state in _feasible_states(table, n):
-            kw = table.state_kwargs(state)
+            point, forms = (n,) + state, {}
             total = 0
             for rule in table.rules:
-                num = rule.numerator(n, **kw)
+                num = evaluate(rule.numerator, point, forms)
                 if num < 0:
                     violations.append(
                         f"n={n} state={state}: rule [{rule.event}/{rule.case}] "
@@ -171,45 +288,30 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def _magnitude_bound(text: str, v: int) -> int:
-    """An upper bound on the absolute value of every subexpression of a
-    numerator when |n|, |a|, |b|, |c| <= v."""
-    bounds = []
+def _box_corners(table: TransitionTable, n_target: int) -> List[tuple]:
+    """The corners (n, a, b, c) of a box that holds every point at which
+    exact_distribution(table, n_target) evaluates a numerator or a load.
 
-    def rec(node) -> int:
-        if isinstance(node, ast.Constant):
-            b = abs(node.value)
-        elif isinstance(node, ast.Name):
-            b = v
-        elif isinstance(node, ast.UnaryOp):
-            b = rec(node.operand)
-        elif isinstance(node.op, ast.Mult):
-            b = rec(node.left) * rec(node.right)
-        else:
-            b = rec(node.left) + rec(node.right)
-        bounds.append(b)
-        return b
-
-    rec(ast.parse(text, mode="eval").body)
-    return max(bounds)
+    The law at n leaves lives on the initial state plus n - 2 change
+    vectors, and its box cells lie between states it reaches, so a
+    coordinate stays within n_target - 2 of the largest and smallest
+    change of that component (or zero) from its initial value."""
+    ranges = [(2, n_target)]
+    for i, x in enumerate(table.initial):
+        moves = [rule.delta[i] for rule in table.rules] + [0]
+        ranges.append((x + (n_target - 2) * min(moves),
+                       x + (n_target - 2) * max(moves)))
+    return list(itertools.product(*ranges))
 
 
 def _grid_dtype(table: TransitionTable, n_target: int):
     """int64 when no value exact_distribution(table, n_target) forms on
-    its coordinate grids can reach 2^63, else object (Python ints).
-
-    Every state the law reaches is the initial state plus at most
-    n_target - 2 change vectors, and a box cell lies between reached
-    states, so each coordinate, and each n, is at most v in absolute
-    value.  The sum of the rules' subexpression bounds at v then covers
-    every subexpression, group sum and total; the load bound covers the
-    feasibility check."""
-    step = max((abs(d) for rule in table.rules for d in rule.delta), default=0)
-    v = max([n_target] + [abs(x) + (n_target - 2) * step
-                          for x in table.initial])
-    bound = max(sum(_magnitude_bound(rule.numerator_text, v)
-                    for rule in table.rules),
-                sum(abs(f) for f in table.footprints.values()) * v)
+    its coordinate grids can reach 2^63, else object (Python ints): the
+    numerators, their group sums and totals, and the loads."""
+    load = (0,) + tuple(table.footprints[c] for c in table.components)
+    load += (0,) * (5 - len(load))
+    sops = [rule.numerator for rule in table.rules] + [{(load,): 1}]
+    bound = magnitude_bound(sops, _box_corners(table, n_target))
     return np.int64 if bound < 2 ** 63 else object
 
 
@@ -234,10 +336,10 @@ def exact_distribution(table: TransitionTable, n_target: int,
     The law is an object array of Python-int weights over the bounding
     box of its support (origin is the box's lowest state), over the
     common denominator prod_{ell=2}^{n-1} ell^2, reduced only at the end.
-    A step evaluates each rule's numerator once on the box's coordinate
-    grids, sums the rules that share a change vector and adds weights x
-    sum into the grown box at that vector's offset, then trims the edges
-    that hold no mass.  Box cells outside the support carry no mass, so
+    A step evaluates each rule's sum of products on the box's coordinate
+    grids, computing each distinct linear form once, sums the rules that
+    share a change vector and adds weights x sum into the grown box at
+    that vector's offset, then trims the edges that hold no mass.  Box cells outside the support carry no mass, so
     the checks (negative numerator, sum != n^2, infeasible state) apply
     to the support only.
     """
@@ -279,14 +381,14 @@ def _propagate(table: TransitionTable, n_max: int, max_states: int):
     yield weights, live, origin, scale
     for n in range(2, n_max):
         nn = n * n
-        kw = table.state_kwargs(coords)
+        point, forms = (n,) + tuple(coords), {}
         new = np.zeros(tuple(live.shape + grow), dtype=object)
         reached = np.zeros(new.shape, dtype=bool)
         total = 0
         for rules, offset in zip(groups.values(), offsets):
             num = 0
             for rule in rules:
-                part = rule.numerator(n, **kw)
+                part = evaluate(rule.numerator, point, forms)
                 negative = live & (part < 0)
                 if negative.any():
                     raise TableError(

@@ -10,7 +10,6 @@ statistic is derived from that histogram.
 
 from __future__ import annotations
 
-import ast
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -123,16 +122,16 @@ class SampleSummary:
                                               1.0, order)
 
     def falling_moment(self, component, order: int) -> float:
-        """E[X (X-1) ... (X-order+1)] exactly, orders up to 4."""
+        """E[X (X-1) ... (X-order+1)] exactly, orders up to 4: the power
+        sums weighted by the falling factorial's coefficients (Stirling
+        numbers of the first kind), summed in Python ints."""
         if not 1 <= order <= 4:
             raise ValueError("falling moments tracked up to order 4")
         i = self.index(component)
-        total = 0
-        for key, w in self.histogram.items():
-            term = 1
-            for d in range(order):
-                term *= key[i] - d
-            total += term * w
+        stirling = [1]
+        for d in range(order):
+            stirling = _poly_mul(stirling, (-d, 1))
+        total = sum(s * p for s, p in zip(stirling, self.power_sums[i]))
         return total / self.reps
 
     def covariance(self, comp_a, comp_b) -> float:
@@ -213,80 +212,6 @@ class FitReport:
 
 # -- chain engine ------------------------------------------------------------
 
-# A linear form kn*n + ka*a + kb*b + kc*c + k0 is the tuple
-# (kn, ka, kb, kc, k0).  A numerator is a sum of products: a dict from a
-# sorted tuple of forms (the empty tuple is the constant 1) to its integer
-# coefficient.
-_FORM_VARS = ("n", "a", "b", "c")
-_ONE = (0, 0, 0, 0, 1)
-
-
-def _form_sop(form: Tuple[int, ...]) -> Dict[tuple, int]:
-    """One linear form as a sum of products, with its gcd and the sign of
-    its first nonzero coefficient moved into the coefficient."""
-    g = math.gcd(*form)
-    if g == 0:
-        return {}
-    scale = g if next(x for x in form if x) > 0 else -g
-    prim = tuple(x // scale for x in form)
-    return {() if prim == _ONE else (prim,): scale}
-
-
-def _as_form(sop: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
-    """The linear form a sum of products equals, or None if it has a
-    product of two or more forms."""
-    total = [0] * 5
-    for prod, coef in sop.items():
-        if len(prod) > 1:
-            return None
-        for i, x in enumerate(prod[0] if prod else _ONE):
-            total[i] += coef * x
-    return tuple(total)
-
-
-def _add_terms(out: Dict[tuple, int], sop: Dict[tuple, int],
-               sign: int = 1) -> Dict[tuple, int]:
-    for prod, coef in sop.items():
-        coef = out.get(prod, 0) + sign * coef
-        if coef:
-            out[prod] = coef
-        else:
-            out.pop(prod, None)
-    return out
-
-
-def _sop(node, names) -> Dict[tuple, int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return _form_sop((0, 0, 0, 0, node.value))
-    if isinstance(node, ast.Name) and node.id in _FORM_VARS:
-        if node.id not in names:
-            return {}
-        return _form_sop(tuple(int(node.id == v) for v in _FORM_VARS) + (0,))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return {p: -c for p, c in _sop(node.operand, names).items()}
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult)):
-        left, right = _sop(node.left, names), _sop(node.right, names)
-        if isinstance(node.op, ast.Mult):
-            out: Dict[tuple, int] = {}
-            for p, c in left.items():
-                for q, d in right.items():
-                    _add_terms(out, {tuple(sorted(p + q)): c * d})
-            return out
-        sign = 1 if isinstance(node.op, ast.Add) else -1
-        lf, rf = _as_form(left), _as_form(right)
-        if lf is not None and rf is not None:
-            return _form_sop(tuple(x + sign * y for x, y in zip(lf, rf)))
-        return _add_terms(dict(left), right, sign)
-    raise chains.TableError(f"unsupported numerator syntax {ast.dump(node)}")
-
-
-def _sum_of_products(text: str, names=_FORM_VARS) -> Dict[tuple, int]:
-    """A numerator as a sum of coefficient x product of linear forms.  A
-    sum of linear forms stays one form; only non-linear sums are
-    distributed.  Variables outside names are zero."""
-    return _sop(ast.parse(text, mode="eval").body, names)
-
 
 def _poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
     out = [0] * (len(p) + len(q) - 1)
@@ -304,10 +229,6 @@ def _poly_at(poly: Sequence[int], n: int) -> int:
     return value
 
 
-def _ceil_abs(x) -> int:
-    return -(-abs(x) // 1)
-
-
 # instructions of a compiled step
 _LIN, _SHIFT, _PROD, _TERM, _CONST, _COUNT = range(6)
 
@@ -315,13 +236,13 @@ _LIN, _SHIFT, _PROD, _TERM, _CONST, _COUNT = range(6)
 class _CompiledChain:
     """The Monte Carlo kernel of one transition table, compiled once.
 
-    Each numerator is rewritten as a sum of coefficient x product of
-    linear forms in (n, a, b, c).  A step evaluates every distinct linear
-    form and product over the state once for the whole block (what
-    depends on n alone is a Python int) and accumulates the numerators of
-    each group (the rules sharing a change vector, in order of first
-    appearance) into one running sum cum; a replication with draw v takes
-    the group numbered #{g : cum_g <= v}.  The arithmetic is int32 when
+    The rules' sums of products of linear forms in (n, a, b, c), as
+    chains.load_table parsed them, are added up per group (the rules
+    sharing a change vector, in order of first appearance).  A step
+    evaluates every distinct linear form and product over the state once
+    for the whole block (what depends on n alone is a Python int) and
+    accumulates the groups' numerators into one running sum cum; a
+    replication with draw v takes the group numbered #{g : cum_g <= v}.  The arithmetic is int32 when
     magnitude_bound shows that no value can reach 2^31, else int64.
 
     The plan: parts are the distinct combinations of the state rows,
@@ -336,20 +257,19 @@ class _CompiledChain:
     def __init__(self, table: chains.TransitionTable):
         self.table = table
         k = len(table.components)
-        sops: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
+        sops: Dict[Tuple[int, ...], chains.SumOfProducts] = {}
         for rule in table.rules:
-            _add_terms(sops.setdefault(rule.delta, {}),
-                       _sum_of_products(rule.numerator_text, _FORM_VARS[:k + 1]))
+            chains._add_terms(sops.setdefault(rule.delta, {}), rule.numerator)
+        self.sops = list(sops.values())
         self.deltas = np.array(list(sops), dtype=np.int64)
         self.footprints = np.array(
             [table.footprints[c] for c in table.components], dtype=np.int64)
         self.parts: List[Tuple[int, ...]] = []
         self.factors: List[Tuple[int, int, int, int]] = []
         self.bases: List[Tuple[int, ...]] = []
-        self.groups = [self._compile_group(sop, k) for sop in sops.values()]
+        self.groups = [self._compile_group(sop, k) for sop in self.sops]
         self.program, self.n_buffers = self._compile_program(k)
         self.obs_names = tuple(table.observables)
-        self.obs_fns = [table.observables[name] for name in self.obs_names]
 
     @staticmethod
     def _index(items: list, item) -> int:
@@ -357,7 +277,7 @@ class _CompiledChain:
             items.append(item)
         return items.index(item)
 
-    def _compile_group(self, sop: Dict[tuple, int], k: int) -> tuple:
+    def _compile_group(self, sop: chains.SumOfProducts, k: int) -> tuple:
         polys: Dict[Optional[int], List[int]] = {}
         for prod, coef in sop.items():
             poly, base = [coef], []
@@ -468,10 +388,11 @@ class _CompiledChain:
         run_block checks after each step that the new state is feasible,
         so every state it evaluates at step n satisfies state >= 0 and
         footprints . state <= n, provided the initial state does at n = 2.
-        A linear form is then bounded by its largest absolute value at
-        the vertices of that simplex for n = 2 and for the last step.
-        Infinite when a footprint is not positive or the initial state is
-        infeasible."""
+        The groups' sums of products are bounded by chains.magnitude_bound
+        on the vertices of that simplex for n = 2 and for the last step;
+        a part, a factor, a product or a term with its coefficient
+        polynomial is one of the values it covers.  Infinite when a
+        footprint is not positive or the initial state is infeasible."""
         fps = [int(x) for x in self.footprints]
         init = self.table.initial
         if min(fps) <= 0 or min(init) < 0 or \
@@ -479,40 +400,14 @@ class _CompiledChain:
             return math.inf
         top = max(2, n_target - 1)
         k = len(fps)
-        s_max = [Fraction(top, f) for f in fps]
-        vertices = [(n, [Fraction(0)] * k) for n in (2, top)]
-        vertices += [(n, [Fraction(n, f) if i == j else 0
-                          for j, f in enumerate(fps)])
+        vertices = [(n,) + (0,) * k for n in (2, top)]
+        vertices += [(n,) + tuple(Fraction(n, f) if i == j else 0
+                                  for j, f in enumerate(fps))
                      for n in (2, top) for i in range(k)]
-        bounds = [top * top]
-        for part in self.parts:
-            bounds.append(_ceil_abs(sum(abs(w) * s for w, s in zip(part, s_max))))
-        fac = []
-        for part, sign, kn, k0 in self.factors:
-            fac.append(max(_ceil_abs(kn * n + k0 + sign * sum(
-                w * s for w, s in zip(self.parts[part], state)))
-                for n, state in vertices))
-        bounds += fac
-        base_bound = []
-        for base in self.bases:
-            prod = 1
-            for i in base:
-                prod *= fac[i]
-                bounds.append(prod)
-            base_bound.append(prod)
-        running = 0
-        for terms in self.groups:
-            for base, poly in terms:
-                coef = sum(abs(p) * top ** i for i, p in enumerate(poly))
-                term = coef * (1 if base is None else base_bound[base])
-                bounds += [coef, term]
-                running += term
-        bounds.append(running)
         step = np.abs(self.deltas).max(axis=0) if len(self.deltas) else [0] * k
-        states = [_ceil_abs(s) + int(d) for s, d in zip(s_max, step)]
-        bounds += states
-        bounds.append(sum(f * s for f, s in zip(fps, states)))
-        return max(bounds)
+        states = [math.ceil(Fraction(top, f)) + int(d) for f, d in zip(fps, step)]
+        return max(chains.magnitude_bound(self.sops, vertices), top * top,
+                   *states, sum(f * s for f, s in zip(fps, states)))
 
     def run_block(self, n_target: int, seed: int, lo: int, hi: int) -> np.ndarray:
         m = hi - lo
@@ -576,10 +471,10 @@ class _CompiledChain:
             if load.max() > n + 1 or state.min() < 0:
                 raise chains.TableError(
                     f"table {self.table.name}: infeasible state at n={n + 1}")
-        obs = np.empty((len(self.obs_fns), m), dtype=np.int64)
-        kw = dict(zip(("a", "b", "c"), state.astype(np.int64)))
-        for i, fn in enumerate(self.obs_fns):
-            obs[i] = fn(0, **kw)
+        obs = np.empty((len(self.obs_names), m), dtype=np.int64)
+        point = (0,) + tuple(state.astype(np.int64))
+        for i, sop in enumerate(self.table.observables.values()):
+            obs[i] = chains.evaluate(sop, point)
         return obs.T
 
 

@@ -7,18 +7,25 @@ import pytest
 from rtcnlab import chains, moments, montecarlo, networks, patterns, verify
 
 
+def _eval_numerator(text, n, state):
+    """A numerator's text evaluated by Python itself, independently of
+    the parsed form the package evaluates."""
+    return eval(text, {"__builtins__": {}},
+                dict(zip("abc", state), n=n))
+
+
 def _reference_distribution(table, n_target):
     """The exact law by a per-state Python-int walk over the support,
     with the engine's checks: the reference for exact_distribution."""
+    fps = [table.footprints[c] for c in table.components]
     dist = {table.initial: 1}
     scale = 1
     for n in range(2, n_target):
         new = {}
         for state, weight in dist.items():
-            kw = table.state_kwargs(state)
             total = 0
             for rule in table.rules:
-                num = rule.numerator(n, **kw)
+                num = _eval_numerator(rule.numerator_text, n, state)
                 assert num >= 0, (n, state, rule.case)
                 total += num
                 if num:
@@ -27,7 +34,9 @@ def _reference_distribution(table, n_target):
             assert total == n * n, (n, state)
         dist = new
         scale *= n * n
-        assert all(table.feasible(n + 1, state) for state in dist)
+        assert all(min(state) >= 0 and
+                   sum(f * x for f, x in zip(fps, state)) <= n + 1
+                   for state in dist)
     return {state: Fraction(w, scale) for state, w in dist.items()}
 
 
@@ -50,7 +59,7 @@ def test_builtin_ids_and_unknown():
 
 def test_trident_probabilities_at_state():
     t = chains.builtin_table("trident")
-    nums = {r.delta: r.numerator(10, a=1) for r in t.rules}
+    nums = {r.delta: chains.evaluate(r.numerator, (10, 1)) for r in t.rules}
     assert nums[(-1,)] == 3
     assert nums[(1,)] == 42
     assert nums[(0,)] == 55
@@ -168,23 +177,13 @@ def test_exact_negative_numerator_at_reachable_state(tmp_path):
 
 
 def test_exact_negative_numerator_off_support_is_ignored(tmp_path):
-    # every step adds one to a or to b, so the support at n leaves is the
-    # antidiagonal a + b = n - 2 of the box [0, n - 2]^2; u vanishes on it
-    # and makes a numerator negative below it and the other one above it
-    u = "100*(a + b + 2 - n)"
-    doc = {"name": "diagonal", "components": ["a", "b"],
-           "footprints": {"a": 1, "b": 1}, "initial": {"a": 0, "b": 0},
-           "observables": {"a": "a"},
-           "rules": [
-               {"event": "e", "case": "left", "delta": {"a": 1},
-                "numerator": f"n*n - n + {u}"},
-               {"event": "e", "case": "right", "delta": {"b": 1},
-                "numerator": f"n - {u}"}]}
-    table = _table_file(tmp_path, doc)
+    # u makes a numerator negative below the support and the other one
+    # above it
+    table = _table_file(tmp_path, _diagonal_doc("100*(a + b + 2 - n)"))
     law = chains.exact_distribution(table, 4)
     assert set(law) == {(2, 0), (1, 1), (0, 2)}
-    assert table.rules[0].numerator(4, a=0, b=0) < 0
-    assert table.rules[1].numerator(4, a=2, b=2) < 0
+    assert chains.evaluate(table.rules[0].numerator, (4, 0, 0)) < 0
+    assert chains.evaluate(table.rules[1].numerator, (4, 2, 2)) < 0
     assert chains.exact_distribution(table, 12) == \
         _reference_distribution(table, 12)
 
@@ -209,16 +208,101 @@ def test_exact_infeasible_successor(tmp_path):
         chains.exact_distribution(table, 5)
 
 
+def _diagonal_doc(u):
+    # every step adds one to a or to b, so the support at n leaves is the
+    # antidiagonal a + b = n - 2 of the box [0, n - 2]^2; u vanishes on it
+    return {"name": "diagonal", "components": ["a", "b"],
+            "footprints": {"a": 1, "b": 1}, "initial": {"a": 0, "b": 0},
+            "observables": {"a": "a"},
+            "rules": [
+                {"event": "e", "case": "left", "delta": {"a": 1},
+                 "numerator": f"n*n - n + {u}"},
+                {"event": "e", "case": "right", "delta": {"b": 1},
+                 "numerator": f"n - {u}"}]}
+
+
 def test_exact_python_int_grids(tmp_path):
-    # a constant of 2^63 does not fit int64 (numpy raises OverflowError
-    # on an int64 grid), so this table must run on Python-int grids
-    doc = _trident_doc()
-    doc["rules"][2]["numerator"] += \
-        " + 9223372036854775808*a - 9223372036854775808*a"
-    table = _table_file(tmp_path, doc)
+    # a coefficient of 2^63 does not fit int64 (numpy raises OverflowError
+    # on an int64 grid), so this table must run on Python-int grids; u is
+    # zero on the support, so the law is still valid
+    table = _table_file(tmp_path, _diagonal_doc(
+        "9223372036854775808*(a + b + 2 - n)"))
+    assert max(abs(c) for r in table.rules
+               for c in r.numerator.values()) >= 2 ** 63
     assert chains._grid_dtype(table, 12) is object
     assert chains.exact_distribution(table, 12) == \
-        chains.exact_distribution(chains.builtin_table("trident"), 12)
+        _reference_distribution(table, 12)
+
+
+def test_box_corners_hold_every_propagated_box(tmp_path):
+    # every step of the counter adds one to a: no change vector is zero
+    counter = _table_file(tmp_path, {
+        "name": "counter", "components": ["a"], "footprints": {"a": 1},
+        "initial": {"a": 0}, "observables": {"a": "a"},
+        "rules": [{"event": "e", "case": "up", "delta": {"a": 1},
+                   "numerator": "n*n"}]})
+    tables = [chains.builtin_table(cid) for cid in chains.BUILTIN_IDS]
+    for table in tables + [counter]:
+        corners = np.array(chains._box_corners(table, 25))
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        laws = chains._propagate(table, 25, chains._MAX_STATES)
+        for n, (_, live, origin, _) in enumerate(laws, start=2):
+            for cell in (origin, origin + live.shape - 1):
+                point = np.concatenate([[n], cell])
+                assert (lo <= point).all() and (point <= hi).all(), \
+                    (table.name, n)
+
+
+def test_magnitude_bound_covers_partial_sums_and_products():
+    # on the segment n = 2..10, a = 10, |n - a| <= 8, but evaluate forms
+    # n = 10 before it subtracts a
+    sop = chains._sum_of_products("n - a", ("n", "a"))
+    assert chains.magnitude_bound([sop], [(2, 10), (10, 10)]) == 20
+    # n - 10 vanishes at n = 10, but 100*a = 600 is formed before it
+    sop = chains._sum_of_products("100*a*(n - 10)", ("n", "a"))
+    assert sop == {((0, 1, 0, 0, 0), (1, 0, 0, 0, -10)): 100}
+    assert chains.magnitude_bound([sop], [(10, 0), (10, 6)]) == 600
+    # the terms of all the sums add up
+    assert chains.magnitude_bound([sop, sop], [(10, 0), (10, 6)]) == 1200
+
+
+def test_load_table_rejects_unknown_variable(tmp_path):
+    doc = _trident_doc()
+    doc["rules"][0]["numerator"] += " + 5*b"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 0 \[reticulation/inside one trident\]: "
+            r"variable 'b' is not one of n, a: '3\*a\*\(3\*a - 2\) \+ 5\*b'$")):
+        _table_file(tmp_path, doc)
+
+
+def test_load_table_rejects_n_in_observable(tmp_path):
+    doc = _trident_doc()
+    doc["observables"]["trident"] = "a + n"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: observable 'trident': "
+            r"variable 'n' is not one of a: 'a \+ n'$")):
+        _table_file(tmp_path, doc)
+
+
+def test_load_table_rejects_four_components(tmp_path):
+    doc = _trident_doc()
+    doc["components"] = ["a", "b", "c", "d"]
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: 4 components \['a', 'b', 'c', 'd'\]; "
+            r"at most 3 \(a, b, c\)$")):
+        _table_file(tmp_path, doc)
+
+
+def test_load_table_rejects_unsupported_syntax(tmp_path):
+    doc = _trident_doc()
+    doc["rules"][2]["numerator"] = "n**2 - 3*a*(3*a - 2) - (n - 3*a)*(n - 3*a - 1)"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 2 \[any other attachment/complement\]: "
+            r"unsupported syntax 'n \*\* 2': 'n\*\*2 - ")):
+        _table_file(tmp_path, doc)
+    doc["rules"][2]["numerator"] = "n*n -"
+    with pytest.raises(chains.TableError, match=r"rule 2 .*: not an expression: 'n\*n -'$"):
+        _table_file(tmp_path, doc)
 
 
 def test_coupling_all_chains_small():

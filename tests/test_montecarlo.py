@@ -290,6 +290,16 @@ def _assert_sums_are_scalar_sums(histogram, k):
     power, cross = _scalar_sums(histogram, k)
     assert s.power_sums == power
     assert list(s.cross_sums.items()) == list(cross.items())
+    if s.reps:
+        for i in range(k):
+            for order in range(1, 5):
+                total = 0
+                for key, w in histogram.items():
+                    term = w
+                    for d in range(order):
+                        term *= key[i] - d
+                    total += term
+                assert s.falling_moment(i, order) == total / s.reps
     sums = [x for row in s.power_sums for x in row] + list(s.cross_sums.values())
     assert all(type(x) is int for x in sums)
 
@@ -317,28 +327,36 @@ def test_summary_sums_at_the_int64_bound():
 # -- chain kernel -------------------------------------------------------------
 
 
-def _reference_rows(table, n_target, seed, reps):
-    """Chain walk per replication with Python ints: the same raw_block
-    words, each rule's numerator evaluated on its own, groups (rules
-    sharing a change vector) in order of first appearance, and the group
-    taken numbered #{g : cum_g <= v}."""
+def _eval_text(text, n, state):
+    """A numerator's or observable's text evaluated by Python itself,
+    independently of the parsed form the package evaluates."""
+    return eval(text, {"__builtins__": {}}, dict(zip("abc", state), n=n))
+
+
+def _reference_rows(doc, n_target, seed, reps):
+    """Chain walk per replication with Python ints, read from the table's
+    JSON document: the same raw_block words, each rule's numerator
+    evaluated on its own, groups (rules sharing a change vector) in order
+    of first appearance, and the group taken numbered #{g : cum_g <= v}."""
+    comps = doc["components"]
     groups = {}
-    for rule in table.rules:
-        groups.setdefault(rule.delta, []).append(rule.numerator)
+    for rule in doc["rules"]:
+        delta = tuple(rule["delta"].get(x, 0) for x in comps)
+        groups.setdefault(delta, []).append(rule["numerator"])
     deltas = list(groups)
-    states = [list(table.initial) for _ in range(reps)]
+    states = [[doc["initial"][x] for x in comps] for _ in range(reps)]
     hi = (reps + 3) // 4 * 4
     for n in range(2, n_target):
         words = rng.raw_block(seed, n, 0, hi).tolist()
         for state, word in zip(states, words):
             v = word % (n * n)
-            kw = table.state_kwargs(state)
             cum = taken = 0
-            for fns in groups.values():
-                cum += sum(fn(n, **kw) for fn in fns)
+            for texts in groups.values():
+                cum += sum(_eval_text(text, n, state) for text in texts)
                 taken += v >= cum
             state[:] = [x + d for x, d in zip(state, deltas[taken])]
-    return [tuple(table.observe(s).values()) for s in states]
+    return [tuple(_eval_text(text, 0, s) for text in doc["observables"].values())
+            for s in states]
 
 
 def _kernel_rows(table, n_target, seed, reps):
@@ -351,9 +369,11 @@ def test_kernel_matches_scalar_reference_on_every_table(tmp_path):
     reps = 37  # not a multiple of 4
     for cid in chains.BUILTIN_IDS:
         table = chains.builtin_table(cid)
+        doc = json.loads((chains._DATA_DIR / (cid.replace("-", "_") + ".json")
+                          ).read_text())
         assert mc._CompiledChain(table).magnitude_bound(2000) < 2 ** 31, cid
         for n in (2, 3, 6, 17, 40):
-            want = _reference_rows(table, n, 8, reps)
+            want = _reference_rows(doc, n, 8, reps)
             assert _kernel_rows(table, n, 8, reps) == want, (cid, n)
         path = tmp_path / f"{cid}.csv"
         mc.run_experiment(mc.ExperimentConfig(source=cid, n=40, reps=reps,
@@ -378,7 +398,7 @@ def test_kernel_int64_branch(tmp_path):
     path.write_text(json.dumps(doc))
     table = chains.load_table(path)
     assert mc._CompiledChain(table).magnitude_bound(30) >= 2 ** 31
-    want = _reference_rows(table, 30, 2, 41)
+    want = _reference_rows(doc, 30, 2, 41)
     assert max(want)[0] > 0
     assert _kernel_rows(table, 30, 2, 41) == want
 
@@ -401,24 +421,58 @@ _numerators = st.recursive(
     max_leaves=7)
 
 
+def _propagation_values(rules, fps, point):
+    """Every integer the exact propagation forms at one box point, in the
+    order chains.evaluate takes: monomials and partial sums of each form,
+    partial products, terms, rule sums and the running total, and the
+    load's products and partial sums."""
+    values, total = [], 0
+    for rule in rules:
+        num = 0
+        for prod, coef in rule.numerator.items():
+            term = coef
+            for form in prod:
+                value = form[4]
+                for w, x in zip(form, point):
+                    value += w * x
+                    values += [w * x, value]
+                term *= value
+                values.append(term)
+            num += term
+            values.append(num)
+        total += num
+        values.append(total)
+    load = 0
+    for f, x in zip(fps, point[1:]):
+        load += f * x
+        values += [f * x, load]
+    return values
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(texts=st.lists(_numerators, min_size=1, max_size=3),
        fps=st.tuples(*[st.integers(1, 7)] * 3),
        n_target=st.integers(3, 3000), data=st.data())
 def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
-    """The rewrite equals eval, and magnitude_bound dominates every value
-    the kernel forms at feasible states."""
-    fns = [chains._compile_poly(t) for t in texts]
+    """The parsed form equals eval, magnitude_bound dominates every value
+    the kernel forms at feasible states, and the box bound every value
+    the exact propagation forms at points of its box."""
+    sops = [chains._sum_of_products(t) for t in texts]
     for _ in range(5):
         point = tuple(data.draw(st.integers(-50, 50)) for _ in range(4))
-        for text, fn in zip(texts, fns):
-            assert _eval_sop(mc._sum_of_products(text), point) == fn(*point)
-    rules = [chains.TransitionRule("e", str(i), (i, 0, 0), fn, text)
-             for i, (text, fn) in enumerate(zip(texts, fns))]
+        for text, sop in zip(texts, sops):
+            want = _eval_text(text, point[0], point[1:])
+            assert _eval_sop(sop, point) == want
+            assert chains.evaluate(sop, point) == want
+    deltas = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
+                                min_size=len(texts), max_size=len(texts),
+                                unique=True))
+    rules = [chains.TransitionRule("e", str(i), delta, sop, text)
+             for i, (delta, sop, text) in enumerate(zip(deltas, sops, texts))]
     table = chains.TransitionTable(
         name="h", description="", components=("a", "b", "c"),
         footprints=dict(zip("abc", fps)), initial=(0, 0, 0), rules=rules,
-        observables={"a": chains._compile_poly("a")})
+        observables={"a": chains._sum_of_products("a", ("a", "b", "c"))})
     kernel = mc._CompiledChain(table)
     bound = kernel.magnitude_bound(n_target)
     for _ in range(5):
@@ -437,7 +491,7 @@ def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
             parts.append(acc)
         facs = [sign * parts[p] + kn * n + k0
                 for p, sign, kn, k0 in kernel.factors]
-        values += facs
+        values += facs + [kn * n + k0 for _, _, kn, k0 in kernel.factors]
         bases = []
         for base in kernel.bases:
             prod = 1
@@ -446,7 +500,7 @@ def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
                 values.append(prod)
             bases.append(prod)
         cum = 0
-        for fn, terms in zip(fns, kernel.groups):
+        for text, terms in zip(texts, kernel.groups):
             group = 0
             for base, poly in terms:
                 c = mc._poly_at(poly, n)
@@ -454,5 +508,16 @@ def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
                 group += term
                 cum += term
                 values += [c, term, cum]
-            assert group == fn(n, *state)
+            assert group == _eval_text(text, n, state)
         assert max(abs(x) for x in values) <= bound
+    corners = chains._box_corners(table, n_target)
+    load = {((0,) + fps + (0,),): 1}
+    box_bound = chains.magnitude_bound(sops + [load], corners)
+    assert (chains._grid_dtype(table, n_target) is np.int64) == \
+        (box_bound < 2 ** 63)
+    points = [tuple(data.draw(st.integers(min(c[i] for c in corners),
+                                          max(c[i] for c in corners)))
+                    for i in range(4)) for _ in range(5)]
+    for point in corners + points:
+        values = _propagation_values(rules, fps, point)
+        assert max(abs(x) for x in values) <= box_bound

@@ -361,6 +361,16 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_eval_exec_or_compile_in_package():
+    # table text is parsed into sums of products, never executed
+    root = Path(pt.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec", "compile")]
+    assert found == []
+
+
 def test_bruteforce_guards():
     tall = PatternSpec(1, (Branching(0),) * 5)
     with pytest.raises(pt.PatternError):
