@@ -149,16 +149,13 @@ def evaluate(sop: SumOfProducts, point, forms=None):
 
 
 def magnitude_bound(sops: Iterable[SumOfProducts], vertices) -> int:
-    """An upper bound on the absolute value of every integer evaluate
-    forms for the sums of products sops at a point of the convex hull of
-    vertices, in any order of monomials, forms and terms: each monomial
-    of a linear form and their partial sums, each partial product of a
-    term with or without its coefficient, and every partial sum of the
-    terms of all of sops.
-
-    |form| and the sum of |monomial| are convex, so their largest values
-    on the hull lie at vertices; a partial product is at most the
-    product of max(1, largest |form|)."""
+    """An upper bound on |x| for every integer x that evaluate forms for
+    any of sops at a point of the convex hull of vertices, in any order:
+    monomials of a linear form and their partial sums, partial products
+    of a term with or without its coefficient, and partial sums of all
+    the terms.  |form| and the sum of |monomial| are convex, so they
+    peak at a vertex; a partial product is at most the product of
+    max(1, peak |form|)."""
     value: Dict[Tuple[int, ...], int] = {}
     monomials = running = 0
     for sop in sops:
@@ -197,8 +194,7 @@ class TransitionTable:
     observables: Dict[str, SumOfProducts]
 
     def observe(self, state: Sequence[int]) -> Dict[str, int]:
-        point = (0,) + tuple(state)
-        return {name: evaluate(sop, point)
+        return {name: evaluate(sop, (0, *state))
                 for name, sop in self.observables.items()}
 
 
@@ -254,9 +250,15 @@ def load_table(path) -> TransitionTable:
 
 def _feasible_states(table: TransitionTable, n: int):
     fps = [table.footprints[c] for c in table.components]
-    for state in itertools.product(*(range(n // f + 1) for f in fps)):
-        if sum(f * x for f, x in zip(fps, state)) <= n:
-            yield state
+
+    def rec(i, budget, prefix):
+        if i == len(fps):
+            yield tuple(prefix)
+            return
+        for x in range(budget // fps[i] + 1):
+            yield from rec(i + 1, budget - fps[i] * x, prefix + [x])
+
+    yield from rec(0, n, [])
 
 
 def validate_table(table: TransitionTable, n_max: int = 25) -> List[str]:
@@ -290,12 +292,9 @@ class BudgetExceeded(RuntimeError):
 
 def _box_corners(table: TransitionTable, n_target: int) -> List[tuple]:
     """The corners (n, a, b, c) of a box that holds every point at which
-    exact_distribution(table, n_target) evaluates a numerator or a load.
-
-    The law at n leaves lives on the initial state plus n - 2 change
-    vectors, and its box cells lie between states it reaches, so a
-    coordinate stays within n_target - 2 of the largest and smallest
-    change of that component (or zero) from its initial value."""
+    exact_distribution(table, n_target) evaluates a numerator or a load:
+    the law at n lives on the initial state plus n - 2 change vectors,
+    and its box cells lie between the states it reaches."""
     ranges = [(2, n_target)]
     for i, x in enumerate(table.initial):
         moves = [rule.delta[i] for rule in table.rules] + [0]
@@ -308,8 +307,7 @@ def _grid_dtype(table: TransitionTable, n_target: int):
     """int64 when no value exact_distribution(table, n_target) forms on
     its coordinate grids can reach 2^63, else object (Python ints): the
     numerators, their group sums and totals, and the loads."""
-    load = (0,) + tuple(table.footprints[c] for c in table.components)
-    load += (0,) * (5 - len(load))
+    load = (0, *(table.footprints[c] for c in table.components), 0, 0, 0)[:5]
     sops = [rule.numerator for rule in table.rules] + [{(load,): 1}]
     bound = magnitude_bound(sops, _box_corners(table, n_target))
     return np.int64 if bound < 2 ** 63 else object
