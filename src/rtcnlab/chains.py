@@ -3,12 +3,12 @@
 Each chain tracks a small vector of pattern-type counts through the
 forward construction.  A transition rule is an integer change vector
 plus a polynomial numerator in (n, a, b, c); the probability of the rule
-at leaf count n is numerator / n^2.  Each numerator and observable is
-parsed once, into a sum of products of linear forms, and every evaluator
-(exact propagation, validation, observation, the Monte Carlo kernel)
-reads that form.  The tables live in data files, one
+at leaf count n is numerator / n^2.  The tables live in data files, one
 record per case of the underlying attachment argument, so that every row
-can be audited independently.
+can be audited independently.  Each numerator and observable is parsed
+once, into a sum of products of linear forms, and every evaluator (exact
+propagation, validation, observation, the Monte Carlo kernel) reads that
+form; table text is never executed.
 
 Exact distribution propagation keeps probabilities as integers over the
 common denominator prod(ell^2), so results are exact rationals.
@@ -125,6 +125,7 @@ def _sum_of_products(text: str, names=_FORM_VARS) -> SumOfProducts:
 
 
 def _form_at(form: Tuple[int, ...], point):
+    """kn*n + ka*a + ... + k0 at point = (n, a, ...)."""
     value = form[4]
     for w, x in zip(form[:4], point):
         if w:
@@ -220,7 +221,7 @@ def load_table(path) -> TransitionTable:
     if len(comps) > 3:
         raise TableError(f"{path}: {len(comps)} components {list(comps)}; "
                          f"at most 3 (a, b, c)")
-    names = _FORM_VARS[1:len(comps) + 1]
+    variables = _FORM_VARS[1:len(comps) + 1]
 
     def parse(text, names, where):
         try:
@@ -233,10 +234,10 @@ def load_table(path) -> TransitionTable:
         delta = tuple(int(r["delta"].get(x, 0)) for x in comps)
         rules.append(TransitionRule(
             event=r["event"], case=r["case"], delta=delta,
-            numerator=parse(r["numerator"], ("n",) + names,
+            numerator=parse(r["numerator"], ("n",) + variables,
                             f"rule {i} [{r['event']}/{r['case']}]"),
             numerator_text=r["numerator"]))
-    obs = {name: parse(expr, names, f"observable {name!r}")
+    obs = {name: parse(expr, variables, f"observable {name!r}")
            for name, expr in doc["observables"].items()}
     return TransitionTable(
         name=doc["name"], description=doc.get("description", ""),
@@ -337,9 +338,9 @@ def exact_distribution(table: TransitionTable, n_target: int,
     A step evaluates each rule's sum of products on the box's coordinate
     grids, computing each distinct linear form once, sums the rules that
     share a change vector and adds weights x sum into the grown box at
-    that vector's offset, then trims the edges that hold no mass.  Box cells outside the support carry no mass, so
-    the checks (negative numerator, sum != n^2, infeasible state) apply
-    to the support only.
+    that vector's offset, then trims the edges that hold no mass.  Box
+    cells outside the support carry no mass, so the checks (negative
+    numerator, sum != n^2, infeasible state) apply to the support only.
     """
     for last in _propagate(table, n_target, max_states):
         pass
