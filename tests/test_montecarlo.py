@@ -403,6 +403,20 @@ def test_kernel_int64_branch(tmp_path):
     assert _kernel_rows(table, 30, 2, 41) == want
 
 
+def test_kernel_bound_takes_every_simplex_vertex():
+    # each numerator peaks at a vertex that the bound's other terms do
+    # not reach: 10^6 (n - a) at the zero state, 10^6 (1000 - n + a) at
+    # n = 2, a = 1 when a's footprint is 2
+    for text, fp, peak in (("1000000*(n - a)", 1, 10**6 * 99),
+                           ("1000000*(1000 - n + a)", 2, 10**6 * 999)):
+        rule = chains.TransitionRule(
+            "e", "x", (1,), chains._sum_of_products(text, ("n", "a")), text)
+        table = chains.TransitionTable(
+            name="v", description="", components=("a",),
+            footprints={"a": fp}, initial=(0,), rules=[rule], observables={})
+        assert mc._CompiledChain(table).magnitude_bound(100) >= peak, text
+
+
 def _eval_sop(sop, point):
     total = 0
     for prod, coef in sop.items():
