@@ -157,20 +157,20 @@ def magnitude_bound(sops: Iterable[SumOfProducts], vertices) -> int:
     the terms.  |form| and the sum of |monomial| are convex, so they
     peak at a vertex; a partial product is at most the product of
     max(1, peak |form|)."""
-    value: Dict[Tuple[int, ...], int] = {}
+    peak: Dict[Tuple[int, ...], int] = {}
     monomials = running = 0
     for sop in sops:
         for prod, coef in sop.items():
             term = abs(coef)
             for form in prod:
-                if form not in value:
-                    value[form] = max([1] + [math.ceil(abs(_form_at(form, v)))
-                                             for v in vertices])
+                if form not in peak:
+                    peak[form] = max([1] + [math.ceil(abs(_form_at(form, v)))
+                                            for v in vertices])
                     absolute = tuple(map(abs, form))
                     monomials = max([monomials] + [
                         math.ceil(_form_at(absolute, map(abs, v)))
                         for v in vertices])
-                term *= value[form]
+                term *= peak[form]
             running += term
     return max(monomials, running)
 
