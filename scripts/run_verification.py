@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every verification suite and write one JSON report per suite.
+"""Run every verification suite, in the order verify registers them,
+and write one JSON report per suite.
 
 Usage: python scripts/run_verification.py [outdir] [--quick]
 
@@ -14,10 +15,6 @@ from pathlib import Path
 
 from rtcnlab import verify
 
-ORDER = ["coupling", "moments", "conjecture", "matcher",
-         "theorem1", "theorem2a", "theorem2b", "theorem2c",
-         "prop3", "prop4"]
-
 
 def main(argv):
     outdir = Path(argv[1]) if len(argv) > 1 and not argv[1].startswith("-") \
@@ -28,7 +25,7 @@ def main(argv):
     if quick:
         opts["reps"] = 20_000
     failures = []
-    for suite in ORDER:
+    for suite in verify.SUITES:
         t0 = time.time()
         report = verify.run_suite(suite, dict(opts))
         path = outdir / f"{suite}.json"

@@ -214,7 +214,10 @@ def builtin_table(chain_id: str) -> TransitionTable:
 def load_table(path) -> TransitionTable:
     """A table from its JSON file, every numerator and observable parsed
     once.  The components are the variables a, b, c by position; a
-    numerator may also use n, an observable may not."""
+    numerator may also use n, an observable may not.  The keys of a
+    rule's delta, of initial and of footprints are components; initial
+    and footprints give every component; a delta may omit a component it
+    leaves unchanged."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     comps = tuple(doc["components"])
@@ -229,16 +232,31 @@ def load_table(path) -> TransitionTable:
         except TableError as err:
             raise TableError(f"{path}: {where}: {err}: {text!r}") from None
 
+    def check_keys(mapping, where, complete):
+        """Every key of mapping is a component, and when complete every
+        component is a key."""
+        for key in mapping:
+            if key not in comps:
+                raise TableError(f"{path}: {where}: {key!r} is not one of "
+                                 f"the components {list(comps)}")
+        missing = [x for x in comps if x not in mapping]
+        if complete and missing:
+            raise TableError(f"{path}: {where}: no value for component "
+                             f"{missing[0]!r}")
+
     rules = []
     for i, r in enumerate(doc["rules"]):
+        where = f"rule {i} [{r['event']}/{r['case']}]"
+        check_keys(r["delta"], f"{where}: delta", complete=False)
         delta = tuple(int(r["delta"].get(x, 0)) for x in comps)
         rules.append(TransitionRule(
             event=r["event"], case=r["case"], delta=delta,
-            numerator=parse(r["numerator"], ("n",) + variables,
-                            f"rule {i} [{r['event']}/{r['case']}]"),
+            numerator=parse(r["numerator"], ("n",) + variables, where),
             numerator_text=r["numerator"]))
     obs = {name: parse(expr, variables, f"observable {name!r}")
            for name, expr in doc["observables"].items()}
+    check_keys(doc["initial"], "initial", complete=True)
+    check_keys(doc["footprints"], "footprints", complete=True)
     return TransitionTable(
         name=doc["name"], description=doc.get("description", ""),
         components=comps, footprints=dict(doc["footprints"]),

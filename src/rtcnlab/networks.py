@@ -21,14 +21,9 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .rng import CounterStream, stream_words
+from .rng import stream_words
 
 ENUM_MAX_LEAVES = 9
-
-# lineage producer roles
-ROLE_BRANCH_CHILD = 0
-ROLE_RETIC_OUTER = 1
-ROLE_RETIC_MIDDLE = 2
 
 
 @dataclass(frozen=True)
@@ -59,19 +54,18 @@ class EventStructure:
     """Event/lineage incidence of a (partial) network or pattern.
 
     Events are indexed in rank order.  Each lineage records its producer
-    event and role; open lineages have consumer -1.  For a network the
+    event; open lineages have consumer -1.  For a network the
     implicit initial branching is event 0.
     """
 
-    __slots__ = ("kinds", "consumed", "produced", "prod_ev", "prod_role",
-                 "consumer", "open_slots", "initial_count")
+    __slots__ = ("kinds", "consumed", "produced", "prod_ev", "consumer",
+                 "open_slots", "initial_count")
 
     def __init__(self, initial_count: int = 0, network_root: bool = False):
         self.kinds: List[str] = []
         self.consumed: List[Tuple[int, ...]] = []
         self.produced: List[Tuple[int, ...]] = []
         self.prod_ev: List[int] = []
-        self.prod_role: List[int] = []
         self.consumer: List[int] = []
         self.open_slots: List[int] = []
         self.initial_count = initial_count
@@ -81,13 +75,11 @@ class EventStructure:
             self.consumed.append((0,))
             self.produced.append((1, 2))
             self.prod_ev.extend((-1, 0, 0))
-            self.prod_role.extend((-1, ROLE_BRANCH_CHILD, ROLE_BRANCH_CHILD))
             self.consumer.extend((0, -1, -1))
             self.open_slots.extend((1, 2))
         else:
             for i in range(initial_count):
                 self.prod_ev.append(-1)
-                self.prod_role.append(-1)
                 self.consumer.append(-1)
                 self.open_slots.append(i)
 
@@ -107,7 +99,6 @@ class EventStructure:
             self.consumer[x] = e
             l0 = len(self.prod_ev)
             self.prod_ev.extend((e, e))
-            self.prod_role.extend((ROLE_BRANCH_CHILD, ROLE_BRANCH_CHILD))
             self.consumer.extend((-1, -1))
             self.produced.append((l0, l0 + 1))
             self.open_slots[i] = l0
@@ -127,8 +118,6 @@ class EventStructure:
         self.consumer[y] = e
         l0 = len(self.prod_ev)
         self.prod_ev.extend((e, e, e))
-        self.prod_role.extend((ROLE_RETIC_OUTER, ROLE_RETIC_OUTER,
-                               ROLE_RETIC_MIDDLE))
         self.consumer.extend((-1, -1, -1))
         self.produced.append((l0, l0 + 1, l0 + 2))
         self.open_slots[i] = l0
@@ -144,7 +133,6 @@ class EventStructure:
             self.produced.pop()
             for _ in range(2):
                 self.prod_ev.pop()
-                self.prod_role.pop()
                 self.consumer.pop()
             self.consumer[x] = -1
             self.open_slots.pop()
@@ -156,7 +144,6 @@ class EventStructure:
             self.produced.pop()
             for _ in range(3):
                 self.prod_ev.pop()
-                self.prod_role.pop()
                 self.consumer.pop()
             self.consumer[x] = -1
             self.consumer[y] = -1
@@ -170,7 +157,6 @@ class EventStructure:
         s.consumed = self.consumed.copy()
         s.produced = self.produced.copy()
         s.prod_ev = self.prod_ev.copy()
-        s.prod_role = self.prod_role.copy()
         s.consumer = self.consumer.copy()
         s.open_slots = self.open_slots.copy()
         s.initial_count = self.initial_count
@@ -203,32 +189,18 @@ class EventLog:
     def n_leaves(self) -> int:
         return len(self.events) + 2
 
-    def validate(self) -> None:
-        ell = 2
-        for k, ev in enumerate(self.events):
-            if isinstance(ev, Branching):
-                if not 0 <= ev.position < ell:
-                    raise EventLogError(
-                        f"event {k}: position {ev.position} invalid at {ell} lineages")
-            else:
-                if ev.pos_a == ev.pos_b:
-                    raise EventLogError(f"event {k}: reticulation positions equal")
-                if not (0 <= ev.pos_a < ell and 0 <= ev.pos_b < ell):
-                    raise EventLogError(
-                        f"event {k}: positions ({ev.pos_a}, {ev.pos_b}) invalid "
-                        f"at {ell} lineages")
-            ell += 1
-
 
 class Network:
     """A ranked tree-child network: event log plus derived structure."""
 
     def __init__(self, log: EventLog, structure: EventStructure | None = None):
         if structure is None:
-            log.validate()
             structure = EventStructure(network_root=True)
-            for ev in log.events:
-                structure.apply(ev)
+            for k, ev in enumerate(log.events):
+                try:
+                    structure.apply(ev)
+                except EventLogError as exc:
+                    raise EventLogError(f"event {k}: {exc}") from None
         self.log = log
         self.structure = structure
 
@@ -373,11 +345,9 @@ def generate(n: int, seed: int, stream: int = 0) -> Network:
     step on the given stream of the seed."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    words = CounterStream(seed, stream).words(max(n - 2, 1)).tolist()
     structure = EventStructure(network_root=True)
     events: List[Event] = []
-    for ell, word in zip(range(2, n), words):
-        i, j = divmod(word % (ell * ell), ell)
+    for i, j, _ in _step_slots(n, seed, [stream])[0].tolist():
         ev: Event = Branching(i) if i == j else Reticulation(i, j)
         structure.apply(ev)
         events.append(ev)
@@ -405,8 +375,8 @@ class LockstepBatch:
 
 def _step_slots(n: int, seed: int, streams: Sequence[int]) -> np.ndarray:
     """(m, n-2, 3) slots written at each step: the pair (i, j) chosen by
-    generate's rule divmod(word % ell^2, ell), where i == j is a
-    branching, and the appended slot ell."""
+    the rule divmod(word % ell^2, ell) from the step's word, where
+    i == j is a branching, and the appended slot ell."""
     ell = np.arange(2, n, dtype=np.uint64)
     v = stream_words(seed, streams, n - 2)
     v %= ell * ell
@@ -423,6 +393,17 @@ def generate_batch(n: int, seed: int, streams: Sequence[int]) -> LockstepBatch:
     if n < 2:
         raise ValueError("need at least 2 leaves")
     return _grow(n, _step_slots(n, seed, streams))
+
+
+def network_batch(network: Network) -> LockstepBatch:
+    """The one-row lockstep batch of a network: its event log as the
+    slot table of _grow, (i, i, ell) for a branching at slot i and
+    (i, j, ell) for a reticulation at the pair (i, j)."""
+    slots = np.array([(ev.position, ev.position, ell) if isinstance(ev, Branching)
+                      else (ev.pos_a, ev.pos_b, ell)
+                      for ell, ev in enumerate(network.log.events, start=2)],
+                     dtype=np.intp).reshape(1, -1, 3)
+    return _grow(network.n_leaves, slots)
 
 
 def _grow(n: int, slots: np.ndarray) -> LockstepBatch:

@@ -10,10 +10,10 @@ side swap).  Overlapping occurrences count separately.
 Three counting routes are provided: closed forms for the shipped catalog,
 a generic anchored matcher for arbitrary patterns, and a brute force
 embedding enumerator over arrays, used as the oracle in tests.  Each
-closed form is written once, as masks over per-event fringe properties;
-count_catalog evaluates several on the bitsets of one network,
-count_occurrences one id through count_catalog, and count_batch
-several on the bool arrays of a lockstep batch.
+closed form is written once, as masks over per-event fringe properties
+that one class builds as bool arrays over a lockstep batch: count_batch
+evaluates several forms on a batch, count_catalog on the one-row batch
+of a network, and count_occurrences one id through count_catalog.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .networks import (Branching, Event, EventLogError, EventStructure,
-                       Network, Reticulation, ROLE_RETIC_MIDDLE)
+                       Network, Reticulation, network_batch)
 
 _DATA_DIR = Path(__file__).parent / "data" / "patterns"
 
@@ -445,11 +445,10 @@ def _divide(emb: int, aut: int) -> int:
 # -- closed-form counters for the catalog ----------------------------------
 
 
-class _Fringe:
-    """Per-event masks of one EventStructure that the closed forms count:
-    bit e of each mask, a Python int, is set when event e has the
-    property.  _BatchFringe holds the same masks for a whole lockstep
-    batch.
+class _BatchFringe:
+    """Per-event masks that the closed forms count, for every network of
+    a LockstepBatch: (m, n-1) bool arrays whose entry (r, e) is set when
+    event e of network r has the property.
 
     cherry: a branching with both children external.  full: a
     reticulation with all three produced lineages external.  For the
@@ -457,61 +456,15 @@ class _Fringe:
     branching and x's sibling is external; ro_x, x is an outer lineage of
     a reticulation p whose other two lineages are external; rm_x, x is
     the middle lineage of a reticulation p whose outer lineages are
-    external.  The root edge and a pattern's initial lineages have no
-    producer p, and no mask that needs one holds for them.  The _y masks are the same for the
-    second consumed lineage y; they, and distinct (x and y come from
-    different events), are meaningful only under full.  Among the full
+    external.  The root edge has no producer p, and no mask that needs
+    one holds for it.  The _y masks are the same for the second
+    consumed lineage y; they, and distinct (x and y come from different
+    events), are meaningful only under full.  Among the full
     reticulations whose x and y come from one event p: same_branch, p is
     a branching; b_iv, x and y are an outer and the middle lineage of p
     and p's other outer lineage is external; b_v, x and y are p's outer
     lineages and its middle lineage is external.
     """
-
-    def __init__(self, s: EventStructure):
-        ext = [c == -1 for c in s.consumer]
-        # what each lineage is to its producer: 1 bp, 2 ro, 3 rm, 0 none;
-        # a lineage's producer comes before its consumer in rank order
-        side = [0] * len(ext)
-        at_x, at_y = [0] * 4, [0] * 4
-        self.cherry = self.full = self.distinct = 0
-        self.same_branch = self.b_iv = self.b_v = 0
-        for e, (kind, cons, prod) in enumerate(zip(s.kinds, s.consumed,
-                                                   s.produced)):
-            bit = 1 << e
-            at_x[side[cons[0]]] |= bit
-            if kind == "B":
-                a, b = prod
-                if ext[a] and ext[b]:
-                    self.cherry |= bit
-                side[a], side[b] = ext[b], ext[a]
-                continue
-            x, y = cons
-            at_y[side[y]] |= bit
-            a, b, m = prod
-            side[a], side[b] = 2 * (ext[b] and ext[m]), 2 * (ext[a] and ext[m])
-            side[m] = 3 * (ext[a] and ext[b])
-            p, q = s.prod_ev[x], s.prod_ev[y]
-            if p != q:
-                self.distinct |= bit
-            if not (ext[a] and ext[b] and ext[m]):
-                continue
-            self.full |= bit
-            if p != q or p == -1:
-                continue
-            if s.kinds[p] == "B":
-                self.same_branch |= bit
-            elif ext[sum(s.produced[p]) - x - y]:
-                if ROLE_RETIC_MIDDLE in (s.prod_role[x], s.prod_role[y]):
-                    self.b_iv |= bit
-                else:
-                    self.b_v |= bit
-        _, self.bp_x, self.ro_x, self.rm_x = at_x
-        _, self.bp_y, self.ro_y, self.rm_y = at_y
-
-
-class _BatchFringe:
-    """The masks of _Fringe for every network of a LockstepBatch, as
-    (m, n-1) bool arrays whose column e is bit e."""
 
     def __init__(self, batch):
         ext = batch.consumer < 0
@@ -549,8 +502,8 @@ def _at(a, idx):
     return a.ravel()[idx + width * np.arange(rows)[:, None]]
 
 
-# the catalog's closed forms: the masks of a fringe whose set bits, each
-# one event, are the occurrences
+# the catalog's closed forms: the masks of a fringe whose set entries,
+# each one event, are the occurrences
 _CLOSED_FORMS = {
     "cherry": lambda f: (f.cherry,),
     "trident": lambda f: (f.full,),
@@ -571,12 +524,17 @@ _CLOSED_FORMS = {
 
 def count_batch(batch, pattern_ids) -> np.ndarray:
     """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
-    on every network of a networks.LockstepBatch; row r equals
-    count_occurrences on the network of row r."""
+    on every network of a networks.LockstepBatch, from one build of its
+    fringe masks; row r equals the anchored matcher's counts on the
+    network of row r."""
+    try:
+        forms = [_CLOSED_FORMS[pid] for pid in pattern_ids]
+    except KeyError as err:
+        raise KeyError(f"unknown pattern id {err.args[0]!r}") from None
     f = _BatchFringe(batch)
-    out = np.empty((len(batch.kind), len(pattern_ids)), dtype=np.int64)
-    for k, pid in enumerate(pattern_ids):
-        out[:, k] = sum(np.count_nonzero(m, axis=1) for m in _CLOSED_FORMS[pid](f))
+    out = np.empty((len(batch.kind), len(forms)), dtype=np.int64)
+    for k, form in enumerate(forms):
+        out[:, k] = sum(np.count_nonzero(m, axis=1) for m in form(f))
     return out
 
 
@@ -658,29 +616,23 @@ def count_occurrences(network: Union[Network, EventStructure],
                       p: Union[str, PatternSpec]) -> int:
     """Occurrences of the pattern on the fringe of the network.
 
-    Catalog shapes, by id or by spec, are counted by count_catalog from
-    their closed forms on the network's fringe masks, in O(events);
-    anything else goes through the anchored matcher.  Both agree with
-    the brute force oracle.
+    On a Network, catalog shapes, by id or by spec, are counted by
+    count_catalog from their closed forms.  Anything else, and every
+    pattern on a bare EventStructure (such as a pattern's own structure,
+    whose initial lineages have no producer), goes through the anchored
+    matcher.  Both agree with the brute force oracle.
     """
-    net = network.structure if isinstance(network, Network) else network
     pid, spec = resolve(p)
-    if pid is not None:
-        return count_catalog(net, (pid,))[0]
-    return count_occurrences_generic(net, spec)
+    if pid is not None and isinstance(network, Network):
+        return count_catalog(network, (pid,))[0]
+    return count_occurrences_generic(network, spec)
 
 
-def count_catalog(network: Union[Network, EventStructure],
+def count_catalog(network: Network,
                   pattern_ids: Sequence[str]) -> Tuple[int, ...]:
-    """count_occurrences of each catalog id, in order, from one build of
-    the network's fringe masks."""
-    net = network.structure if isinstance(network, Network) else network
-    try:
-        forms = [_CLOSED_FORMS[pid] for pid in pattern_ids]
-    except KeyError as err:
-        raise KeyError(f"unknown pattern id {err.args[0]!r}") from None
-    f = _Fringe(net)
-    return tuple(sum(m.bit_count() for m in form(f)) for form in forms)
+    """The occurrences of each catalog id on the network, in order: the
+    row of count_batch on the network's one-row lockstep batch."""
+    return tuple(count_batch(network_batch(network), pattern_ids)[0].tolist())
 
 
 # -- decomposition ---------------------------------------------------------

@@ -305,6 +305,29 @@ def test_load_table_rejects_unsupported_syntax(tmp_path):
         _table_file(tmp_path, doc)
 
 
+def test_load_table_rejects_keys_that_are_not_components(tmp_path):
+    doc = _trident_doc()
+    doc["rules"][0]["delta"] = {"b": -1}
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 0 \[reticulation/inside one trident\]: delta: "
+            r"'b' is not one of the components \['a'\]$")):
+        _table_file(tmp_path, doc)
+    for key in ("initial", "footprints"):
+        doc = _trident_doc()
+        doc[key]["zz"] = 1
+        with pytest.raises(chains.TableError, match=(
+                rf"table\.json: {key}: 'zz' is not one of the components \['a'\]$")):
+            _table_file(tmp_path, doc)
+        del doc[key]["zz"], doc[key]["a"]
+        with pytest.raises(chains.TableError, match=(
+                rf"table\.json: {key}: no value for component 'a'$")):
+            _table_file(tmp_path, doc)
+    # a delta may leave out a component it does not change
+    doc = _trident_doc()
+    del doc["rules"][2]["delta"]["a"]
+    assert _table_file(tmp_path, doc).rules[2].delta == (0,)
+
+
 def test_coupling_all_chains_small():
     """Every builtin chain's law equals full history enumeration, n <= 5."""
     for cid in chains.BUILTIN_IDS:

@@ -37,7 +37,7 @@ def test_apply_index_errors():
     for event in (Reticulation(0, 2), Branching(5)):
         with pytest.raises(nw.EventLogError):
             nw.EventStructure(network_root=True).apply(event)
-        with pytest.raises(nw.EventLogError):
+        with pytest.raises(nw.EventLogError, match=r"^event 0: "):
             Network(EventLog((event,)))
 
 

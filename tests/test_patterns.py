@@ -1,10 +1,10 @@
 import ast
 import dataclasses
+import itertools
 import json
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -97,18 +97,53 @@ def test_fast_equals_generic_equals_bruteforce(n, seed):
 
 
 def test_fast_equals_generic_equals_bruteforce_on_pattern_hosts():
-    # a pattern's initial lineages, like the root edge, have no producer
+    # a pattern's initial lineages, like the root edge, have no producer;
+    # only the matcher and the brute force count on a pattern's structure
     for host_id, host in CAT.items():
         _assert_counters_agree(host.structure(), host_id)
 
 
 def _assert_counters_agree(host, label):
-    for (pid, spec), fast in zip(CAT.items(), pt.count_catalog(host, CAT)):
+    """On a network the closed forms, by id and by spec, agree with the
+    matcher and the brute force; on a bare structure the last two do."""
+    brute = []
+    for pid, spec in CAT.items():
         # a spec resolves to its catalog id, as the pattern files do
         single = pt.count_occurrences(host, spec)
         generic = pt.count_occurrences_generic(host, spec)
-        brute = pt.count_occurrences_bruteforce(host, spec)
-        assert fast == single == generic == brute, (pid, label)
+        brute.append(pt.count_occurrences_bruteforce(host, spec))
+        assert single == generic == brute[-1], (pid, label)
+    if isinstance(host, Network):
+        assert pt.count_catalog(host, CAT) == tuple(brute), label
+
+
+# Hosts on which every two catalog ids have different counts, and on
+# which every closed form with one mask replaced by another, or dropped,
+# miscounts; the exceptions are the h3 forms with distinct replaced or
+# dropped, which their _x and _y masks already imply.  The generate(n, s)
+# hosts were chosen greedily from n = 2..40 and s < 30.
+PINNED_HOSTS = ((30, 9), (37, 24), (5, 11), (25, 10), (6, 5), (11, 23),
+                (8, 7), (7, 18))
+# a reticulation of two cherries' children that a later branching
+# consumes: bp_x and bp_y hold there without full, as on none of the
+# generated networks above
+NOT_FULL_H3_BI = EventLog((Branching(0), Branching(1), Reticulation(0, 1),
+                           Branching(0)))
+
+
+def test_closed_forms_equal_matcher_on_pinned_hosts():
+    # a closed form moved to another id, or a mask swapped inside one,
+    # changes count_catalog on some pinned host
+    hosts = [nw.generate(n, seed) for n, seed in PINNED_HOSTS]
+    hosts.append(Network(NOT_FULL_H3_BI))
+    rows = []
+    for net in hosts:
+        rows.append(pt.count_catalog(net, CAT))
+        assert rows[-1] == tuple(pt.count_occurrences_generic(net, spec)
+                                 for spec in CAT.values()), nw.serialize(net)
+    by_id = list(zip(*rows))
+    for a, b in itertools.combinations(range(len(CAT)), 2):
+        assert by_id[a] != by_id[b], (list(CAT)[a], list(CAT)[b])
 
 
 @given(n=st.integers(2, 25), seed=st.integers(0, 2**32))
@@ -177,44 +212,18 @@ def test_count_catalog_is_count_occurrences_per_id():
     ids = ("trident", "cherry", "trident", "h3-cii")
     assert pt.count_catalog(net, ids) == tuple(
         pt.count_occurrences(net, pid) for pid in ids)
-    assert pt.count_catalog(net.structure, ()) == ()
+    assert pt.count_catalog(net, ()) == ()
     with pytest.raises(KeyError, match="unknown pattern id 'nope'"):
         pt.count_catalog(net, ("cherry", "nope"))
 
 
 def test_count_batch_on_histories_equals_scalar_counts():
-    ids = sorted(CAT)
-    for n in range(2, 7):
-        got = pt.count_batch(nw.history_batch(n, 0, nw.history_count(n)), ids)
-        want = [list(pt.count_catalog(net, ids))
+    # every history with n <= 5, against the anchored matcher
+    for n in range(2, 6):
+        got = pt.count_batch(nw.history_batch(n, 0, nw.history_count(n)), CAT)
+        want = [[pt.count_occurrences_generic(net, spec) for spec in CAT.values()]
                 for net, _ in nw.enumerate_histories(n)]
         assert got.tolist() == want, n
-
-
-_MASKS = ("cherry", "full", "bp_x", "bp_y", "ro_x", "ro_y", "rm_x", "rm_y",
-          "distinct", "same_branch", "b_iv", "b_v")
-# meaningful only under full: a branching has no second consumed lineage
-_UNDER_FULL = ("bp_y", "ro_y", "rm_y", "distinct")
-
-
-def test_scalar_fringe_masks_equal_batch_fringe_masks():
-    cases = [(nw.history_batch(n, 0, nw.history_count(n)),
-              [net for net, _ in nw.enumerate_histories(n)])
-             for n in range(2, 7)]
-    streams = range(1, 21)
-    cases += [(nw.generate_batch(n, 3, streams),
-               [nw.generate(n, 3, r) for r in streams]) for n in (24, 200)]
-    for batch, nets in cases:
-        f = pt._BatchFringe(batch)
-        for r, net in enumerate(nets):
-            scalar = pt._Fringe(net.structure)
-            for name in _MASKS:
-                row = getattr(f, name)[r]
-                bits = getattr(scalar, name)
-                if name in _UNDER_FULL:
-                    row, bits = row & f.full[r], bits & scalar.full
-                assert bits == sum(1 << int(e) for e in np.flatnonzero(row)), \
-                    (name, net.n_leaves, r)
 
 
 def test_trivial_pattern_counts_external_lineages():
