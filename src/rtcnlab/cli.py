@@ -141,11 +141,13 @@ def cmd_count(args) -> int:
 _STATISTICAL_SUITES = {"theorem1", "theorem2a", "theorem2b", "theorem2c",
                        "prop3", "prop4"}
 _FLAG_READERS = {"--reps": _STATISTICAL_SUITES,
-                 "--leaves": _STATISTICAL_SUITES | {"coupling"}}
+                 "--leaves": _STATISTICAL_SUITES | {"coupling"},
+                 "--sigma-file": {"moments", "prop4"}}
 
 
 def cmd_verify(args) -> int:
-    for flag, value in (("--reps", args.reps), ("--leaves", args.leaves)):
+    for flag, value in (("--reps", args.reps), ("--leaves", args.leaves),
+                        ("--sigma-file", args.sigma_file)):
         if value is not None and args.suite not in _FLAG_READERS[flag]:
             raise UsageError(f"{flag} is not read by suite {args.suite!r}")
     if args.reps is not None and args.reps < 2:

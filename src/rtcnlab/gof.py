@@ -7,6 +7,7 @@ the usual series / continued-fraction split.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -110,6 +111,12 @@ def chi2_statistic(observed: Sequence[float], expected: Sequence[float]
     return stat, len(observed) - 1
 
 
+def bin_index(lowers: Sequence[int], value: int) -> int:
+    """Index of the last bin whose lower value is at most value (the
+    first bin for a value below them all); lowers ascend."""
+    return max(bisect.bisect_right(lowers, value) - 1, 0)
+
+
 def histogram_chi2(hist: Dict[int, int], bins: List[Tuple[int, float]]
                    ) -> Tuple[float, int]:
     """Chi-square of an integer histogram against (lower, expected) bins;
@@ -117,8 +124,5 @@ def histogram_chi2(hist: Dict[int, int], bins: List[Tuple[int, float]]
     observed = [0.0] * len(bins)
     lowers = [b[0] for b in bins]
     for value, count in hist.items():
-        for i in range(len(bins) - 1, -1, -1):
-            if value >= lowers[i]:
-                observed[i] += count
-                break
+        observed[bin_index(lowers, value)] += count
     return chi2_statistic(observed, [e for _, e in bins])

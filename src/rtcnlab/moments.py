@@ -268,12 +268,6 @@ class GaussianMixedMoments:
         return val
 
 
-def isserlis(sigma: CovarianceMatrix, r: int, s: int, t: int) -> Fraction:
-    if min(r, s, t) < 0:
-        raise ValueError("orders must be nonnegative")
-    return GaussianMixedMoments(sigma).moment(r, s, t)
-
-
 # toll-term coefficients of the shifted-moment recurrence for the
 # (overlap, base, trident) chain; the weighted pairing identity below is
 # exactly what makes the moment induction close

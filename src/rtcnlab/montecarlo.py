@@ -690,16 +690,10 @@ def independence_check(summary: SampleSummary, lam_x: float = 0.125,
     bins_c = gof.poisson_bins(lam_c, N, margin_floor)
     lowers_x = [b[0] for b in bins_x]
     lowers_c = [b[0] for b in bins_c]
-
-    def locate(lowers, v):
-        for i in range(len(lowers) - 1, -1, -1):
-            if v >= lowers[i]:
-                return i
-        return 0
-
     observed = [[0.0] * len(bins_c) for _ in bins_x]
     for key, w in summary.histogram.items():
-        observed[locate(lowers_x, key[ix])][locate(lowers_c, key[ic])] += w
+        row = observed[gof.bin_index(lowers_x, key[ix])]
+        row[gof.bin_index(lowers_c, key[ic])] += w
     expected = [[ex * ec / N for _, ec in bins_c] for _, ex in bins_x]
     flat_o = [o for row in observed for o in row]
     flat_e = [e for row in expected for e in row]

@@ -4,7 +4,10 @@ A network is encoded by its event log: starting from one branching event
 (two open lineages), each step attaches either a branching event to one
 open lineage or a reticulation event to an ordered pair of distinct open
 lineages.  The log is the source of truth; the lineage-incidence
-structure and the node-level DAG are derived from it deterministically.
+structure and the node-level DAG are derived from it deterministically,
+and Network(log) is the one place a network is built: generate and
+enumerate_histories turn rows of slots into logs, and parse reads them
+from text.
 
 Placement convention: a branching event replaces the chosen slot by the
 left child lineage and appends the right child; a reticulation event
@@ -41,7 +44,9 @@ Event = Union[Branching, Reticulation]
 
 
 class EventLogError(ValueError):
-    pass
+    """An event the log cannot hold; Network sets event to its index."""
+
+    event: int | None = None
 
 
 class ParseError(ValueError):
@@ -85,7 +90,7 @@ class EventStructure:
 
     # -- growth -------------------------------------------------------
 
-    def apply(self, event: Event):
+    def apply(self, event: Event) -> None:
         ell = len(self.open_slots)
         if isinstance(event, Branching):
             i = event.position
@@ -103,7 +108,7 @@ class EventStructure:
             self.produced.append((l0, l0 + 1))
             self.open_slots[i] = l0
             self.open_slots.append(l0 + 1)
-            return ("B", i, x)
+            return
         i, j = event.pos_a, event.pos_b
         if i == j:
             raise EventLogError("reticulation positions must be distinct")
@@ -123,44 +128,6 @@ class EventStructure:
         self.open_slots[i] = l0
         self.open_slots[j] = l0 + 1
         self.open_slots.append(l0 + 2)
-        return ("R", i, j, x, y)
-
-    def undo(self, token) -> None:
-        if token[0] == "B":
-            _, i, x = token
-            self.kinds.pop()
-            self.consumed.pop()
-            self.produced.pop()
-            for _ in range(2):
-                self.prod_ev.pop()
-                self.consumer.pop()
-            self.consumer[x] = -1
-            self.open_slots.pop()
-            self.open_slots[i] = x
-        else:
-            _, i, j, x, y = token
-            self.kinds.pop()
-            self.consumed.pop()
-            self.produced.pop()
-            for _ in range(3):
-                self.prod_ev.pop()
-                self.consumer.pop()
-            self.consumer[x] = -1
-            self.consumer[y] = -1
-            self.open_slots.pop()
-            self.open_slots[i] = x
-            self.open_slots[j] = y
-
-    def copy(self) -> "EventStructure":
-        s = EventStructure.__new__(EventStructure)
-        s.kinds = self.kinds.copy()
-        s.consumed = self.consumed.copy()
-        s.produced = self.produced.copy()
-        s.prod_ev = self.prod_ev.copy()
-        s.consumer = self.consumer.copy()
-        s.open_slots = self.open_slots.copy()
-        s.initial_count = self.initial_count
-        return s
 
     # -- queries ------------------------------------------------------
 
@@ -193,14 +160,15 @@ class EventLog:
 class Network:
     """A ranked tree-child network: event log plus derived structure."""
 
-    def __init__(self, log: EventLog, structure: EventStructure | None = None):
-        if structure is None:
-            structure = EventStructure(network_root=True)
-            for k, ev in enumerate(log.events):
-                try:
-                    structure.apply(ev)
-                except EventLogError as exc:
-                    raise EventLogError(f"event {k}: {exc}") from None
+    def __init__(self, log: EventLog):
+        structure = EventStructure(network_root=True)
+        for k, ev in enumerate(log.events):
+            try:
+                structure.apply(ev)
+            except EventLogError as exc:
+                err = EventLogError(f"event {k}: {exc}")
+                err.event = k
+                raise err from None
         self.log = log
         self.structure = structure
 
@@ -211,10 +179,6 @@ class Network:
     @property
     def n_events(self) -> int:
         return self.structure.n_events
-
-    @property
-    def n_reticulations(self) -> int:
-        return sum(1 for k in self.structure.kinds if k == "R")
 
     def __eq__(self, other):
         return isinstance(other, Network) and self.log == other.log
@@ -345,13 +309,15 @@ def generate(n: int, seed: int, stream: int = 0) -> Network:
     step on the given stream of the seed."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    structure = EventStructure(network_root=True)
-    events: List[Event] = []
-    for i, j, _ in _step_slots(n, seed, [stream])[0].tolist():
-        ev: Event = Branching(i) if i == j else Reticulation(i, j)
-        structure.apply(ev)
-        events.append(ev)
-    return Network(EventLog(tuple(events)), structure)
+    return _network(_step_slots(n, seed, [stream])[0].tolist())
+
+
+def _network(row: Sequence[Sequence[int]]) -> Network:
+    """The network whose event at step ell is given by the slots
+    row[ell-2] = (i, j, ell): Branching(i) when i == j, else
+    Reticulation(i, j)."""
+    return Network(EventLog(tuple(Branching(i) if i == j else Reticulation(i, j)
+                                  for i, j, _ in row)))
 
 
 @dataclass(frozen=True)
@@ -456,48 +422,42 @@ def check_enumerable(n: int) -> None:
         raise ValueError(f"enumeration guard: n must be <= {ENUM_MAX_LEAVES}")
 
 
-def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
-    """Every construction history exactly once, each with probability
-    1 / prod(ell^2).  Guarded to small n by check_enumerable."""
-    check_enumerable(n)
-    prob = Fraction(1, history_count(n))
-    structure = EventStructure(network_root=True)
-    events: List[Event] = []
-
-    def rec(ell):
-        if ell == n:
-            yield Network(EventLog(tuple(events)), structure.copy())
-            return
-        for i in range(ell):
-            for j in range(ell):
-                ev: Event = Branching(i) if i == j else Reticulation(i, j)
-                tok = structure.apply(ev)
-                events.append(ev)
-                yield from rec(ell + 1)
-                events.pop()
-                structure.undo(tok)
-
-    for net in rec(2):
-        yield net, prob
-
-
-def history_batch(n: int, lo: int, hi: int) -> LockstepBatch:
-    """Histories lo..hi-1 of enumerate_histories(n), grown in lockstep.
+def _history_slots(n: int, lo: int, hi: int) -> np.ndarray:
+    """(hi-lo, n-2, 3) slots of histories lo..hi-1 of n leaves.
 
     History h is read as a mixed-radix number whose digit at step ell
     is i*ell + j, with ell = 2 the most significant digit; its slots
     (i, j, ell) are the ones generate's rule gives for that digit."""
-    check_enumerable(n)
-    if not 0 <= lo <= hi <= history_count(n):
-        raise ValueError(f"history range {lo}..{hi} outside "
-                         f"0..{history_count(n)}")
     h = np.arange(lo, hi, dtype=np.int64)
     slots = np.empty((hi - lo, n - 2, 3), dtype=np.intp)
     for ell in range(n - 1, 1, -1):
         h, digit = np.divmod(h, ell * ell)
         np.divmod(digit, ell, out=(slots[:, ell - 2, 0], slots[:, ell - 2, 1]))
         slots[:, ell - 2, 2] = ell
-    return _grow(n, slots)
+    return slots
+
+
+def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
+    """Every construction history exactly once, in history_batch's
+    order, each as one Network with probability 1 / prod(ell^2).
+    Guarded to small n by check_enumerable; the histories are read in
+    slices of 4096, so memory stays flat."""
+    check_enumerable(n)
+    total = history_count(n)
+    prob = Fraction(1, total)
+    for lo in range(0, total, 4096):
+        for row in _history_slots(n, lo, min(lo + 4096, total)).tolist():
+            yield _network(row), prob
+
+
+def history_batch(n: int, lo: int, hi: int) -> LockstepBatch:
+    """Histories lo..hi-1 of enumerate_histories(n), grown in lockstep
+    from the slots of _history_slots."""
+    check_enumerable(n)
+    if not 0 <= lo <= hi <= history_count(n):
+        raise ValueError(f"history range {lo}..{hi} outside "
+                         f"0..{history_count(n)}")
+    return _grow(n, _history_slots(n, lo, hi))
 
 
 # -- text format -----------------------------------------------------------
@@ -544,13 +504,10 @@ def parse(text: str) -> Network:
     if len(events) != n - 2:
         raise ParseError(
             f"header says n={n} but {len(events)} events follow", len(lines))
-    structure = EventStructure(network_root=True)
-    for k, (ev, idx) in enumerate(zip(events, event_lines)):
-        try:
-            structure.apply(ev)
-        except EventLogError as exc:
-            raise ParseError(f"event {k}: {exc}", idx) from None
-    return Network(EventLog(tuple(events)), structure)
+    try:
+        return Network(EventLog(tuple(events)))
+    except EventLogError as exc:
+        raise ParseError(str(exc), event_lines[exc.event]) from None
 
 
 def to_dot(network: Network) -> str:

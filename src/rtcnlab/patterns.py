@@ -556,16 +556,6 @@ def spec_from_dict(d: dict) -> PatternSpec:
     return PatternSpec(d["initial_lineages"], tuple(events))
 
 
-def spec_to_dict(p: PatternSpec) -> dict:
-    events = []
-    for ev in p.events:
-        if isinstance(ev, Branching):
-            events.append({"type": "branch", "a": ev.position})
-        else:
-            events.append({"type": "retic", "a": ev.pos_a, "b": ev.pos_b})
-    return {"initial_lineages": p.initial_lineages, "events": events}
-
-
 def load_pattern_file(path) -> PatternSpec:
     with open(path, "r", encoding="utf-8") as fh:
         p = spec_from_dict(json.load(fh))
@@ -587,10 +577,6 @@ def catalog() -> Dict[str, PatternSpec]:
             entries[d["id"]] = spec
         _catalog_cache = entries
     return dict(_catalog_cache)
-
-
-def catalog_footprints() -> Dict[str, int]:
-    return {pid: spec.footprint() for pid, spec in catalog().items()}
 
 
 def _canonical_index() -> Dict[str, str]:
@@ -703,9 +689,3 @@ def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
     if len(out) not in (1, 2):
         raise PatternError(f"unexpected decomposition into {len(out)} parts")
     return out
-
-
-def decompose_last_event(p: PatternSpec) -> List[PatternSpec]:
-    if p.height < 1:
-        raise PatternError("height-0 pattern has no event to remove")
-    return remove_event(p, p.height - 1)

@@ -241,6 +241,9 @@ def test_verify_flag_the_suite_does_not_read_is_usage_error(capsys):
     ignored = [("--leaves", s) for s in ("conjecture", "moments", "matcher")]
     ignored += [("--reps", s)
                 for s in ("conjecture", "moments", "matcher", "coupling")]
+    ignored += [("--sigma-file", s)
+                for s in ("coupling", "conjecture", "matcher", "theorem1",
+                          "theorem2a", "theorem2b", "theorem2c", "prop3")]
     for flag, suite in ignored:
         assert run(["verify", "--suite", suite, flag, "5"]) == 1
         err = capsys.readouterr().err

@@ -95,12 +95,12 @@ def test_higher_central_moment_target():
 
 
 def test_isserlis_spot_values():
-    sig = moments.default_sigma()
-    assert moments.isserlis(sig, 0, 0, 0) == 1
-    assert moments.isserlis(sig, 0, 0, 2) == F(24, 637)
-    assert moments.isserlis(sig, 1, 1, 0) == F(433528, 62537475)
-    assert moments.isserlis(sig, 1, 0, 0) == 0
-    assert moments.isserlis(sig, 1, 1, 1) == 0
+    gauss = moments.GaussianMixedMoments(moments.default_sigma())
+    assert gauss.moment(0, 0, 0) == 1
+    assert gauss.moment(0, 0, 2) == F(24, 637)
+    assert gauss.moment(1, 1, 0) == F(433528, 62537475)
+    assert gauss.moment(1, 0, 0) == 0
+    assert gauss.moment(1, 1, 1) == 0
 
 
 def test_proof_identity_spot_cases():

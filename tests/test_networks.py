@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,37 +9,43 @@ from rtcnlab import networks as nw
 from rtcnlab.networks import Branching, EventLog, Network, Reticulation
 
 
+def _reticulations(net):
+    return sum(1 for ev in net.log.events if isinstance(ev, Reticulation))
+
+
 def test_apply_branching_at_two_lineages():
-    root = nw.EventStructure(network_root=True)
-    assert len(root.open_slots) == 2
-    grown = root.copy()
-    grown.apply(Branching(0))
-    assert len(grown.open_slots) == 3
-    assert grown.kinds == ["B", "B"]  # the initial branching, then ours
-    assert grown.consumed[1] == (root.open_slots[0],)
-    # the copied structure is untouched
-    assert len(root.open_slots) == 2
+    s = nw.EventStructure(network_root=True)
+    assert len(s.open_slots) == 2
+    first = s.open_slots[0]
+    assert s.apply(Branching(0)) is None
+    assert len(s.open_slots) == 3
+    assert s.kinds == ["B", "B"]  # the initial branching, then ours
+    assert s.consumed[1] == (first,)
 
 
 def test_apply_reticulation_at_two_lineages():
     net = Network(EventLog((Reticulation(0, 1),)))
     assert len(net.structure.open_slots) == 3
-    assert net.n_reticulations == 1
+    assert net.structure.kinds == ["B", "R"]
 
 
 def test_apply_two_steps_by_hand():
     net = Network(EventLog((Reticulation(0, 1), Branching(2))))
     assert net.n_leaves == 4
     assert net.n_events == 3  # including the implicit initial branching
-    assert net.n_reticulations == 1
+    assert _reticulations(net) == 1
 
 
 def test_apply_index_errors():
     for event in (Reticulation(0, 2), Branching(5)):
         with pytest.raises(nw.EventLogError):
             nw.EventStructure(network_root=True).apply(event)
-        with pytest.raises(nw.EventLogError, match=r"^event 0: "):
+        with pytest.raises(nw.EventLogError, match=r"^event 0: ") as err:
             Network(EventLog((event,)))
+        assert err.value.event == 0
+    with pytest.raises(nw.EventLogError, match=r"^event 2: ") as err:
+        Network(EventLog((Branching(0), Reticulation(1, 2), Branching(4))))
+    assert err.value.event == 2
 
 
 def test_generate_two_leaves_is_unique():
@@ -48,7 +55,7 @@ def test_generate_two_leaves_is_unique():
 
 def test_generate_three_leaves_reticulation_fraction():
     # 2 of the 4 ordered pairs at two lineages produce a reticulation
-    hits = sum(nw.generate(3, seed).n_reticulations for seed in range(4000))
+    hits = sum(_reticulations(nw.generate(3, seed)) for seed in range(4000))
     assert abs(hits / 4000 - 0.5) < 0.04  # ~5 sigma
 
 
@@ -135,8 +142,7 @@ def test_generated_networks_validate(n, seed):
     assert nw.validate(net) == []
     assert net.n_leaves == n
     assert net.n_events == n - 1
-    retics = sum(1 for ev in net.log.events if isinstance(ev, Reticulation))
-    assert net.n_reticulations == retics
+    assert net.structure.kinds.count("R") == _reticulations(net)
 
 
 def test_enumerate_histories_small_counts():
@@ -158,6 +164,26 @@ def test_enumerate_histories_trident_fraction_at_four():
 def test_enumerate_histories_guard():
     with pytest.raises(ValueError):
         next(nw.enumerate_histories(10))
+
+
+def test_enumerate_histories_order():
+    # the order of a recursion over the slot pairs (i, j) at each step,
+    # ell = 2 outermost: the digits i*ell + j as itertools.product reads
+    # them; n = 6 spans more than one 4096-history slice
+    for n in range(2, 7):
+        want = [tuple(Branching(d // ell) if d // ell == d % ell
+                      else Reticulation(d // ell, d % ell)
+                      for ell, d in zip(range(2, n), digits))
+                for digits in itertools.product(
+                    *(range(ell * ell) for ell in range(2, n)))]
+        got = [net.log.events for net, _ in nw.enumerate_histories(n)]
+        assert got == want, n
+
+
+def test_enumerate_histories_starts_at_once_at_the_guard():
+    net, prob = next(nw.enumerate_histories(nw.ENUM_MAX_LEAVES))
+    assert net.log.events == (Branching(0),) * (nw.ENUM_MAX_LEAVES - 2)
+    assert prob == Fraction(1, nw.history_count(nw.ENUM_MAX_LEAVES))
 
 
 def test_validate_flags_tree_child_violation():

@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import itertools
-import json
 import random
 from pathlib import Path
 
@@ -24,7 +23,8 @@ EXPECTED_FOOTPRINTS = {
 
 
 def test_catalog_footprints():
-    assert pt.catalog_footprints() == EXPECTED_FOOTPRINTS
+    assert {pid: spec.footprint() for pid, spec in CAT.items()} == \
+        EXPECTED_FOOTPRINTS
 
 
 def test_catalog_basic_shapes():
@@ -231,31 +231,33 @@ def test_trivial_pattern_counts_external_lineages():
     assert pt.count_occurrences(net, pt.TRIVIAL) == 7
 
 
+def _remove_last_event(p):
+    return pt.remove_event(p, p.height - 1)
+
+
 def test_decompose_cherry_and_trident():
-    assert pt.decompose_last_event(CAT["cherry"]) == [pt.TRIVIAL]
-    assert pt.decompose_last_event(CAT["trident"]) == [pt.TRIVIAL, pt.TRIVIAL]
+    assert _remove_last_event(CAT["cherry"]) == [pt.TRIVIAL]
+    assert _remove_last_event(CAT["trident"]) == [pt.TRIVIAL, pt.TRIVIAL]
 
 
 def test_decompose_b_iv_gives_trident():
-    parts = pt.decompose_last_event(CAT["b-iv"])
+    parts = _remove_last_event(CAT["b-iv"])
     assert len(parts) == 1
     assert pt.canonicalize(parts[0]).text == pt.canonicalize(CAT["trident"]).text
 
 
 def test_decompose_h3_shapes():
-    parts = pt.decompose_last_event(CAT["h3-bi"])
+    parts = _remove_last_event(CAT["h3-bi"])
     cherry = pt.canonicalize(CAT["cherry"]).text
     assert sorted(pt.canonicalize(q).text for q in parts) == sorted([cherry, cherry])
-    parts = pt.decompose_last_event(CAT["h3-ci"])
+    parts = _remove_last_event(CAT["h3-ci"])
     trident = pt.canonicalize(CAT["trident"]).text
     assert [pt.canonicalize(q).text for q in parts] == [trident, trident]
 
 
-def test_pattern_file_round_trip(tmp_path):
-    path = tmp_path / "pat.json"
-    spec = CAT["c-ii"]
-    path.write_text(json.dumps(pt.spec_to_dict(spec)))
-    assert pt.load_pattern_file(path) == spec
+def test_pattern_file_round_trip():
+    path = Path(pt.__file__).parent / "data" / "patterns" / "c_ii.json"
+    assert pt.load_pattern_file(path) == CAT["c-ii"]
 
 
 def _random_pattern(rng, height, disjoint_lead):
