@@ -11,11 +11,18 @@ for the frequent ones).
 import argparse
 from fractions import Fraction
 
-from rtcnlab import chains, montecarlo
+from rtcnlab import chains, moments, montecarlo
+
+
+def _slope(kappa, toll):
+    """The linear growth rate of a mean whose recurrence has decay kappa
+    and a toll ~ toll * n^0 (the transfer map at alpha = 0)."""
+    return ("slope", moments.asymptotic_transfer(kappa, toll, 0)[0])
+
 
 LIMITS = {
     "cherry": ("rate", Fraction(1, 4)),
-    "trident": ("slope", Fraction(1, 7)),
+    "trident": _slope(3, 1),
     "a-i": ("vanishing", None),
     "a-ii": ("vanishing", None),
     "b-i": ("rate", Fraction(1, 8)),
@@ -23,12 +30,12 @@ LIMITS = {
     "b-iii": ("rate", Fraction(1, 56)),
     "b-iv": ("rate", Fraction(1, 14)),
     "b-v": ("rate", Fraction(1, 28)),
-    "c-i": ("slope", Fraction(4, 77)),
-    "c-ii": ("slope", Fraction(2, 77)),
+    "c-i": _slope(5, Fraction(4, 7)),
+    "c-ii": _slope(5, Fraction(2, 7)),
     "h3-bi": ("vanishing", None),
-    "h3-ci": ("slope", Fraction(4, 735)),
-    # via the transfer map: creation rate ~ (n/7)^2/n^2, kappa=7
-    "h3-cii": ("slope", Fraction(1, 735)),
+    "h3-ci": _slope(7, Fraction(4, 49)),
+    # creation rate ~ (n/7)^2/n^2
+    "h3-cii": _slope(7, Fraction(1, 49)),
 }
 
 

@@ -6,9 +6,11 @@ plus a polynomial numerator in (n, a, b, c); the probability of the rule
 at leaf count n is numerator / n^2.  The tables live in data files, one
 record per case of the underlying attachment argument, so that every row
 can be audited independently.  Each numerator and observable is parsed
-once, into a sum of products of linear forms, and every evaluator (exact
-propagation, validation, observation, the Monte Carlo kernel) reads that
-form; table text is never executed.
+once, into a sum of products of linear forms; table text is never
+executed.  Building a table proves it: every numerator is rewritten as a
+non-negative combination of lineage-cell families whose totals are the
+families' cell counts, and exact propagation and the Monte Carlo kernel
+evaluate only the per-change-vector sums of that form.
 
 Exact distribution propagation keeps probabilities as integers over the
 common denominator prod(ell^2), so results are exact rationals.
@@ -17,13 +19,12 @@ common denominator prod(ell^2), so results are exact rationals.
 from __future__ import annotations
 
 import ast
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,46 +134,92 @@ def _form_at(form: Tuple[int, ...], point):
     return value
 
 
-def evaluate(sop: SumOfProducts, point, forms=None):
+def evaluate(sop: SumOfProducts, point):
     """A sum of products at point = (n, a, b, c) (as many coordinates as
-    the table has components), on Python ints or elementwise on arrays.
-    forms, a dict, caches the values of the linear forms at point."""
-    forms = {} if forms is None else forms
+    the table has components), on Python ints or elementwise on arrays."""
     total = 0
     for prod, coef in sop.items():
         term = coef
         for form in prod:
-            if form not in forms:
-                forms[form] = _form_at(form, point)
-            term = term * forms[form]
+            term = term * _form_at(form, point)
         total = total + term
     return total
 
 
-def magnitude_bound(sops: Iterable[SumOfProducts], vertices) -> int:
-    """An upper bound on |x| for every integer x that evaluate forms for
-    any of sops at a point of the convex hull of vertices, in any order:
-    monomials of a linear form and their partial sums, partial products
-    of a term with or without its coefficient, and partial sums of all
-    the terms.  |form| and the sum of |monomial| are convex, so they
-    peak at a vertex; a partial product is at most the product of
-    max(1, peak |form|)."""
-    peak: Dict[Tuple[int, ...], int] = {}
-    monomials = running = 0
-    for sop in sops:
-        for prod, coef in sop.items():
-            term = abs(coef)
-            for form in prod:
-                if form not in peak:
-                    peak[form] = max([1] + [math.ceil(abs(_form_at(form, v)))
-                                            for v in vertices])
-                    absolute = tuple(map(abs, form))
-                    monomials = max([monomials] + [
-                        math.ceil(_form_at(absolute, map(abs, v)))
-                        for v in vertices])
-                term *= peak[form]
-            running += term
-    return max(monomials, running)
+# -- the lineage-cell families -----------------------------------------------
+#
+# A step picks one of the n^2 ordered pairs of lineages.  At a state with
+# x_i copies of component i's shape (f_i lineages each), D = n - sum f_i x_i
+# lineages are free; D is variable k, with footprint 1.  A family is a
+# sorted tuple of variable indices: (i, i) is x_i (x_i - 1), ordered pairs
+# of distinct copies, (i, j) with i < j is x_i x_j, and (i,) is x_i, one
+# copy.  Each unit of a family holds f_i^2 ordered lineage pairs (cells)
+# for (i, i) and (i,), and 2 f_i f_j for (i, j); so all the cells add up
+# to (sum f_i x_i + D)^2 = n^2.
+Family = Tuple[int, ...]
+
+
+def _cells(fps: Sequence[int]) -> Dict[Family, int]:
+    """Every family of a table with footprints fps, with its cell count,
+    the pair families first."""
+    f = tuple(fps) + (1,)
+    out = {(i, j): f[i] * f[j] * (1 if i == j else 2)
+           for i in range(len(f)) for j in range(i, len(f))}
+    out.update({(i,): f[i] * f[i] for i in range(len(f))})
+    return out
+
+
+def _variables(k: int) -> Tuple[str, ...]:
+    return _FORM_VARS[1:k + 1] + ("D",)
+
+
+def family_name(family: Family, k: int) -> str:
+    """a(a-1), a*b, a*D, D(D-1), a or D."""
+    names = _variables(k)
+    if len(family) == 1:
+        return names[family[0]]
+    i, j = family
+    return f"{names[i]}({names[i]}-1)" if i == j else f"{names[i]}*{names[j]}"
+
+
+def family_value(family: Family, xs):
+    """A family at xs = (x_0, ..., x_{k-1}, D), on ints or arrays."""
+    if len(family) == 1:
+        return xs[family[0]]
+    i, j = family
+    return xs[i] * (xs[i] - 1) if i == j else xs[i] * xs[j]
+
+
+def family_form(sop: SumOfProducts, fps: Sequence[int]) -> Dict[Family, int]:
+    """sop as an integer combination of the families of footprints fps:
+    expanded into monomials in (x..., D) through n = D + sum f_i x_i,
+    then back-substituted through x^2 = x(x-1) + x.  A constant term or
+    a term of degree 3 or more belongs to no family: TableError."""
+    k = len(fps)
+    poly: Dict[Tuple[int, ...], int] = {}
+    for prod, coef in sop.items():
+        terms = {(): coef}  # sorted variable indices -> coefficient
+        for form in prod:
+            lin = [((i,), form[1 + i] + form[0] * f) for i, f in enumerate(fps)]
+            lin += [((k,), form[0]), ((), form[4])]
+            nxt: Dict[Tuple[int, ...], int] = {}
+            for mono, c in terms.items():
+                for var, w in lin:
+                    if w:
+                        key = tuple(sorted(mono + var))
+                        nxt[key] = nxt.get(key, 0) + c * w
+            terms = nxt
+        _add_terms(poly, terms)
+    out: Dict[Tuple[int, ...], int] = {}
+    for mono, c in poly.items():
+        if not 1 <= len(mono) <= 2:
+            term = "*".join([str(c)] + [_variables(k)[v] for v in mono])
+            raise TableError(f"term {term} of degree {len(mono)} is no "
+                             f"lineage-pair family")
+        out[mono] = out.get(mono, 0) + c
+        if len(mono) == 2 and mono[0] == mono[1]:
+            out[mono[:1]] = out.get(mono[:1], 0) + c
+    return {family: c for family, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -186,6 +233,16 @@ class TransitionRule:
 
 @dataclass
 class TransitionTable:
+    """A chain's rules, proved at construction: the footprints are
+    integers >= 1, the initial state is feasible at n = 2, every change
+    vector is integral, and every numerator is a combination of the
+    lineage-cell families with non-negative integer coefficients whose
+    totals over the rules are the families' cell counts.  So at every
+    feasible state of every n the numerators are >= 0 and sum to n^2.
+    groups holds, per change vector in order of first appearance, the
+    summed family coefficients (family, coefficient), in the order of
+    families; the engines read only these."""
+
     name: str
     description: str
     components: Tuple[str, ...]
@@ -193,6 +250,55 @@ class TransitionTable:
     initial: Tuple[int, ...]
     rules: List[TransitionRule]
     observables: Dict[str, SumOfProducts]
+    families: Tuple[Family, ...] = field(init=False)
+    groups: List[Tuple[Tuple[int, ...], Tuple[Tuple[Family, int], ...]]] = \
+        field(init=False)
+
+    def __post_init__(self):
+        k = len(self.components)
+        fps = tuple(self.footprints[c] for c in self.components)
+
+        def integers(where, values, least=None):
+            for comp, x in zip(self.components, values):
+                if type(x) is not int:
+                    raise TableError(f"{where}: {comp!r} is {x!r}, "
+                                     f"not an integer")
+                if least is not None and x < least:
+                    raise TableError(f"{where}: {comp!r} is {x}, "
+                                     f"below {least}")
+
+        integers("footprints", fps, least=1)
+        integers("initial", self.initial)
+        if min(self.initial) < 0 or sum(
+                f * x for f, x in zip(fps, self.initial)) > 2:
+            raise TableError(f"initial: state {self.initial} is infeasible "
+                             f"at n=2")
+        cells = _cells(fps)
+        totals = dict.fromkeys(cells, 0)
+        groups: Dict[Tuple[int, ...], Dict[Family, int]] = {}
+        for i, rule in enumerate(self.rules):
+            where = f"rule {i} [{rule.event}/{rule.case}]"
+            integers(f"{where}: delta", rule.delta)
+            try:
+                form = family_form(rule.numerator, fps)
+            except TableError as err:
+                raise TableError(f"{where}: {err}") from None
+            group = groups.setdefault(rule.delta, {})
+            for fam, c in form.items():
+                if c < 0:
+                    raise TableError(f"{where}: family {family_name(fam, k)} "
+                                     f"has coefficient {c} < 0")
+                totals[fam] += c
+                group[fam] = group.get(fam, 0) + c
+        for fam, want in cells.items():
+            if totals[fam] != want:
+                raise TableError(f"family {family_name(fam, k)}: the rules' "
+                                 f"coefficients sum to {totals[fam]}, not to "
+                                 f"its {want} cells")
+        self.families = tuple(cells)
+        self.groups = [(delta, tuple((fam, group[fam]) for fam in cells
+                                     if group.get(fam)))
+                       for delta, group in groups.items()]
 
     def observe(self, state: Sequence[int]) -> Dict[str, int]:
         return {name: evaluate(sop, (0, *state))
@@ -213,11 +319,11 @@ def builtin_table(chain_id: str) -> TransitionTable:
 
 def load_table(path) -> TransitionTable:
     """A table from its JSON file, every numerator and observable parsed
-    once.  The components are the variables a, b, c by position; a
-    numerator may also use n, an observable may not.  The keys of a
-    rule's delta, of initial and of footprints are components; initial
-    and footprints give every component; a delta may omit a component it
-    leaves unchanged."""
+    once and the table proved (see TransitionTable).  The components are
+    the variables a, b, c by position; a numerator may also use n, an
+    observable may not.  The keys of a rule's delta, of initial and of
+    footprints are components; initial and footprints give every
+    component; a delta may omit a component it leaves unchanged."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     comps = tuple(doc["components"])
@@ -248,7 +354,7 @@ def load_table(path) -> TransitionTable:
     for i, r in enumerate(doc["rules"]):
         where = f"rule {i} [{r['event']}/{r['case']}]"
         check_keys(r["delta"], f"{where}: delta", complete=False)
-        delta = tuple(int(r["delta"].get(x, 0)) for x in comps)
+        delta = tuple(r["delta"].get(x, 0) for x in comps)
         rules.append(TransitionRule(
             event=r["event"], case=r["case"], delta=delta,
             numerator=parse(r["numerator"], ("n",) + variables, where),
@@ -257,49 +363,14 @@ def load_table(path) -> TransitionTable:
            for name, expr in doc["observables"].items()}
     check_keys(doc["initial"], "initial", complete=True)
     check_keys(doc["footprints"], "footprints", complete=True)
-    return TransitionTable(
-        name=doc["name"], description=doc.get("description", ""),
-        components=comps, footprints=dict(doc["footprints"]),
-        initial=tuple(int(doc["initial"][x]) for x in comps),
-        rules=rules, observables=obs)
-
-
-# -- validation ------------------------------------------------------------
-
-
-def _feasible_states(table: TransitionTable, n: int):
-    fps = [table.footprints[c] for c in table.components]
-
-    def rec(i, budget, prefix):
-        if i == len(fps):
-            yield tuple(prefix)
-            return
-        for x in range(budget // fps[i] + 1):
-            yield from rec(i + 1, budget - fps[i] * x, prefix + [x])
-
-    yield from rec(0, n, [])
-
-
-def validate_table(table: TransitionTable, n_max: int = 25) -> List[str]:
-    """Exhaustively check, for every feasible state with n <= n_max, that
-    numerators are nonnegative and sum to exactly n^2."""
-    violations = []
-    for n in range(2, n_max + 1):
-        for state in _feasible_states(table, n):
-            point, forms = (n,) + state, {}
-            total = 0
-            for rule in table.rules:
-                num = evaluate(rule.numerator, point, forms)
-                if num < 0:
-                    violations.append(
-                        f"n={n} state={state}: rule [{rule.event}/{rule.case}] "
-                        f"numerator {num} < 0")
-                total += num
-            if total != n * n:
-                violations.append(
-                    f"n={n} state={state}: numerators sum to {total}, "
-                    f"expected {n * n}")
-    return violations
+    try:
+        return TransitionTable(
+            name=doc["name"], description=doc.get("description", ""),
+            components=comps, footprints=dict(doc["footprints"]),
+            initial=tuple(doc["initial"][x] for x in comps),
+            rules=rules, observables=obs)
+    except TableError as err:
+        raise TableError(f"{path}: {err}") from None
 
 
 # -- exact distribution ----------------------------------------------------
@@ -307,29 +378,6 @@ def validate_table(table: TransitionTable, n_max: int = 25) -> List[str]:
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-def _box_corners(table: TransitionTable, n_target: int) -> List[tuple]:
-    """The corners (n, a, b, c) of a box that holds every point at which
-    exact_distribution(table, n_target) evaluates a numerator or a load:
-    the law at n lives on the initial state plus n - 2 change vectors,
-    and its box cells lie between the states it reaches."""
-    ranges = [(2, n_target)]
-    for i, x in enumerate(table.initial):
-        moves = [rule.delta[i] for rule in table.rules] + [0]
-        ranges.append((x + (n_target - 2) * min(moves),
-                       x + (n_target - 2) * max(moves)))
-    return list(itertools.product(*ranges))
-
-
-def _grid_dtype(table: TransitionTable, n_target: int):
-    """int64 when no value exact_distribution(table, n_target) forms on
-    its coordinate grids can reach 2^63, else object (Python ints): the
-    numerators, their group sums and totals, and the loads."""
-    load = (0, *(table.footprints[c] for c in table.components), 0, 0, 0)[:5]
-    sops = [rule.numerator for rule in table.rules] + [{(load,): 1}]
-    bound = magnitude_bound(sops, _box_corners(table, n_target))
-    return np.int64 if bound < 2 ** 63 else object
 
 
 def _state_at(mask: np.ndarray, origin: np.ndarray) -> Tuple[int, ...]:
@@ -342,25 +390,25 @@ def exact_laws(table: TransitionTable, n_max: int
     """Exact laws of the tracked count vector at n = 2, ..., n_max leaves,
     propagated once; a law's Fractions are built only when the generator
     is advanced to it.  See exact_distribution."""
-    for state in _propagate(table, n_max, _MAX_STATES):
+    for state in _propagate(table, n_max):
         yield _law(*state)
 
 
-def exact_distribution(table: TransitionTable, n_target: int,
-                       max_states: int = _MAX_STATES) -> Dict[Tuple[int, ...], Fraction]:
+def exact_distribution(table: TransitionTable, n_target: int
+                       ) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the tracked count vector at n_target leaves.
 
     The law is an object array of Python-int weights over the bounding
     box of its support (origin is the box's lowest state), over the
     common denominator prod_{ell=2}^{n-1} ell^2, reduced only at the end.
-    A step evaluates each rule's sum of products on the box's coordinate
-    grids, computing each distinct linear form once, sums the rules that
-    share a change vector and adds weights x sum into the grown box at
-    that vector's offset, then trims the edges that hold no mass.  Box
-    cells outside the support carry no mass, so the checks (negative
-    numerator, sum != n^2, infeasible state) apply to the support only.
+    A step evaluates the table's families on the box's int64 coordinate
+    grids, forms each change vector's numerator from its summed family
+    coefficients, adds weights x numerator into the grown box at that
+    vector's offset, then trims the edges that hold no mass.  The table's
+    proof makes the numerators >= 0 with sum n^2 at every feasible state;
+    every state reached is checked to be feasible.
     """
-    for last in _propagate(table, n_target, max_states):
+    for last in _propagate(table, n_target):
         pass
     return _law(*last)
 
@@ -371,73 +419,59 @@ def _law(weights, live, origin, scale) -> Dict[Tuple[int, ...], Fraction]:
     return {tuple(s): Fraction(w, scale) for s, w in zip(states, weights[idx])}
 
 
-def _propagate(table: TransitionTable, n_max: int, max_states: int):
+def _propagate(table: TransitionTable, n_max: int):
     """(weights, live, origin, scale) of the law at n = 2, ..., n_max."""
     if n_max < 2:
         raise ValueError("need n_target >= 2")
     k = len(table.components)
-    dtype = _grid_dtype(table, n_max)
-    groups: Dict[Tuple[int, ...], List[TransitionRule]] = {}
-    for rule in table.rules:
-        groups.setdefault(rule.delta, []).append(rule)
-    deltas = np.array(list(groups), dtype=np.int64).reshape(-1, k)
+    # every law lives on feasible states, so the box's coordinates lie
+    # in [0, n] and |D| <= k*n: no family value, term or group sum
+    # reaches the total cell count times (k*n + 1)^2
+    cells = sum(_cells(table.footprints[c] for c in table.components).values())
+    if cells * (k * n_max + 1) ** 2 >= 2 ** 63:
+        raise BudgetExceeded(f"n={n_max} is beyond the int64 grids of "
+                             f"table {table.name}")
+    deltas = np.array([d for d, _ in table.groups], dtype=np.int64).reshape(-1, k)
     lo = deltas.min(axis=0, initial=0)
     grow = deltas.max(axis=0, initial=0) - lo
     offsets = deltas - lo
     fps = np.array([table.footprints[c] for c in table.components],
-                   dtype=dtype).reshape((k,) + (1,) * k)
+                   dtype=np.int64).reshape((k,) + (1,) * k)
 
     def grids(origin, shape):
-        return (np.indices(shape) + origin.reshape((k,) + (1,) * k)).astype(dtype)
+        return np.indices(shape) + origin.reshape((k,) + (1,) * k)
 
     weights = np.ones((1,) * k, dtype=object)
     live = np.ones((1,) * k, dtype=bool)
     origin = np.array(table.initial, dtype=np.int64)
     coords = grids(origin, live.shape)
+    load = (fps * coords).sum(axis=0)
     scale = 1
     yield weights, live, origin, scale
     for n in range(2, n_max):
-        nn = n * n
-        point, forms = (n,) + tuple(coords), {}
+        xs = tuple(coords) + (n - load,)
+        values = {fam: family_value(fam, xs) for fam in table.families}
         new = np.zeros(tuple(live.shape + grow), dtype=object)
         reached = np.zeros(new.shape, dtype=bool)
-        total = 0
-        for rules, offset in zip(groups.values(), offsets):
-            num = 0
-            for rule in rules:
-                part = evaluate(rule.numerator, point, forms)
-                negative = live & (part < 0)
-                if negative.any():
-                    raise TableError(
-                        f"negative numerator at n={n} "
-                        f"state={_state_at(negative, origin)} "
-                        f"rule [{rule.event}/{rule.case}]")
-                num = num + part
-            total = total + num
+        for (_, terms), offset in zip(table.groups, offsets):
+            num = sum(c * values[fam] for fam, c in terms)
             fires = live & (num != 0)
             if not fires.any():
                 continue
             at = tuple(slice(d, d + s) for d, s in zip(offset, live.shape))
             new[at] += weights * num
             reached[at] |= fires
-        wrong = live & (total != nn)
-        if wrong.any():
-            raise TableError(
-                f"table {table.name}: numerators sum to "
-                f"{np.broadcast_to(total, live.shape)[wrong][0]} != n^2 "
-                f"at n={n}, state={_state_at(wrong, origin)}; "
-                f"transcription suspect")
-        scale *= nn
+        scale *= n * n
         hit = np.nonzero(reached)
-        if len(hit[0]) > max_states:
+        if len(hit[0]) > _MAX_STATES:
             raise BudgetExceeded(
-                f"{len(hit[0])} states at n={n + 1} exceeds budget {max_states}")
+                f"{len(hit[0])} states at n={n + 1} exceeds budget {_MAX_STATES}")
         keep = tuple(slice(i.min(), i.max() + 1) for i in hit)
         weights, live = new[keep], reached[keep]
         origin = origin + lo + [s.start for s in keep]
         coords = grids(origin, live.shape)
-        infeasible = live & ((coords < 0).any(axis=0)
-                             | ((fps * coords).sum(axis=0) > n + 1))
+        load = (fps * coords).sum(axis=0)
+        infeasible = live & ((coords < 0).any(axis=0) | (load > n + 1))
         if infeasible.any():
             raise TableError(
                 f"table {table.name}: infeasible state "
@@ -446,11 +480,11 @@ def _propagate(table: TransitionTable, n_max: int, max_states: int):
         yield weights, live, origin, scale
 
 
-def observed_distribution(table: TransitionTable, n_target: int,
-                          **kwargs) -> Dict[Tuple[int, ...], Fraction]:
+def observed_distribution(table: TransitionTable, n_target: int
+                          ) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the observable pattern counts (in the order of the
     table's observables map)."""
-    return observe_law(table, exact_distribution(table, n_target, **kwargs))
+    return observe_law(table, exact_distribution(table, n_target))
 
 
 def observe_law(table: TransitionTable, law: Dict[Tuple[int, ...], Fraction]

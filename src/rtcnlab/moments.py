@@ -210,12 +210,25 @@ def higher_central_moment_target(m: int) -> Tuple[Fraction, Fraction]:
 CovarianceMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
+def _sigma_entry(x) -> Fraction:
+    """A number or a numeric string as a Fraction, else ValueError."""
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"covariance entry {x!r} is not a number")
+
+
 def load_sigma(path=None) -> CovarianceMatrix:
     with open(path or _SIGMA_PATH, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    rows = tuple(tuple(Fraction(x) for x in row) for row in doc["matrix"])
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("covariance matrix must be 3x3")
+    matrix = doc.get("matrix") if isinstance(doc, dict) else None
+    if not (isinstance(matrix, list) and len(matrix) == 3 and all(
+            isinstance(row, list) and len(row) == 3 for row in matrix)):
+        raise ValueError("covariance file must be an object with a 3x3 "
+                         "'matrix'")
+    rows = tuple(tuple(_sigma_entry(x) for x in row) for row in matrix)
     for i in range(3):
         for j in range(3):
             if rows[i][j] != rows[j][i]:

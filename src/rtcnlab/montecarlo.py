@@ -202,6 +202,14 @@ def _histogram_arrays(histogram: Dict[Tuple[int, ...], int], k: int):
     return keys, w
 
 
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 @dataclass
 class FitReport:
     law: str
@@ -213,269 +221,81 @@ class FitReport:
 # -- chain engine ------------------------------------------------------------
 
 
-def _poly_mul(p: Sequence[int], q: Sequence[int]) -> List[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
+def _kernel_dtype(n_target: int):
+    """int32 when every value a run to n_target forms fits in it: at a
+    feasible state of step n each one lies in [-1, n^2]."""
+    return np.int32 if (n_target - 1) ** 2 < 2 ** 31 else np.int64
 
 
-def _poly_at(poly: Sequence[int], n: int) -> int:
-    """sum(poly[k] * n**k)."""
-    value = 0
-    for coef in reversed(poly):
-        value = value * n + coef
-    return value
+def _chain_block(table: chains.TransitionTable, n_target: int, seed: int,
+                 lo: int, hi: int) -> np.ndarray:
+    """The observables of replications lo..hi-1 of the table's chain at
+    n_target leaves, one row per replication (lo and hi multiples of 4).
 
-
-# instructions of a compiled step
-_LIN, _SHIFT, _PROD, _TERM, _CONST, _COUNT = range(6)
-
-
-class _CompiledChain:
-    """The Monte Carlo kernel of one transition table, compiled once.
-
-    The rules' sums of products of linear forms in (n, a, b, c), as
-    chains.load_table parsed them, are added up per group (the rules
-    sharing a change vector, in order of first appearance).  A step
-    evaluates every distinct linear form and product over the state once
-    for the whole block (what depends on n alone is a Python int) and
-    accumulates the groups' numerators into one running sum cum; a
-    replication with draw v takes the group numbered #{g : cum_g <= v}.  The arithmetic is int32 when
-    magnitude_bound shows that no value can reach 2^31, else int64.
-
-    The plan: parts are the distinct combinations of the state rows,
-    factors the distinct forms with a state part, each
-    (part, sign, kn, k0) = sign * part + kn*n + k0, bases the distinct
-    products of factors (tuples of factor indices), and each group a
-    tuple of (base, coefficient polynomial in n), base None for the term
-    that depends on n alone.  program lists one step's instructions in
-    order of first use; a value's buffer is reused after its last use.
-    """
-
-    def __init__(self, table: chains.TransitionTable):
-        self.table = table
-        k = len(table.components)
-        sops: Dict[Tuple[int, ...], chains.SumOfProducts] = {}
-        for rule in table.rules:
-            chains._add_terms(sops.setdefault(rule.delta, {}), rule.numerator)
-        self.sops = list(sops.values())
-        self.deltas = np.array(list(sops), dtype=np.int64)
-        self.footprints = np.array(
-            [table.footprints[c] for c in table.components], dtype=np.int64)
-        self.parts: List[Tuple[int, ...]] = []
-        self.factors: List[Tuple[int, int, int, int]] = []
-        self.bases: List[Tuple[int, ...]] = []
-        self.groups = [self._compile_group(sop, k) for sop in self.sops]
-        self.program, self.n_buffers = self._compile_program(k)
-        self.obs_names = tuple(table.observables)
-
-    @staticmethod
-    def _index(items: list, item) -> int:
-        if item not in items:
-            items.append(item)
-        return items.index(item)
-
-    def _compile_group(self, sop: chains.SumOfProducts, k: int) -> tuple:
-        polys: Dict[Optional[int], List[int]] = {}
-        for prod, coef in sop.items():
-            poly, base = [coef], []
-            for form in prod:
-                w = form[1:1 + k]
-                if not any(w):
-                    poly = _poly_mul(poly, (form[4], form[0]))
-                    continue
-                sign = 1 if next(x for x in w if x) > 0 else -1
-                part = self._index(self.parts, tuple(sign * x for x in w))
-                base.append(self._index(self.factors,
-                                        (part, sign, form[0], form[4])))
-            key = self._index(self.bases, tuple(sorted(base))) if base else None
-            acc = polys.setdefault(key, [])
-            acc.extend([0] * (len(poly) - len(acc)))
-            for i, x in enumerate(poly):
-                acc[i] += x
-        # the n-only term last: one scalar add after the array terms
-        terms = [(b, tuple(p)) for b, p in polys.items()
-                 if b is not None and any(p)]
-        if any(polys.get(None, ())):
-            terms.append((None, tuple(polys[None])))
-        return tuple(terms)
-
-    def _compile_program(self, k: int):
-        """(instructions, buffer count).  Registers 0..k-1 are the state
-        rows; the others are buffers, each given to a value at its
-        definition and freed after the value's last use."""
-        code: list = []
-        regs: Dict[tuple, int] = {}
-
-        def define(key, ins_of):
-            regs[key] = k + len(regs)
-            code.append(ins_of(regs[key]))
-            return regs[key]
-
-        def part(i):
-            p = self.parts[i]
-            if p.count(1) == 1 and p.count(0) == k - 1:
-                return p.index(1)
-            if ("part", i) in regs:
-                return regs[("part", i)]
-            return define(("part", i), lambda r: (_LIN, r, p))
-
-        def factor(i):
-            p, sign, kn, k0 = self.factors[i]
-            src = part(p)
-            if sign > 0 and not (kn or k0):
-                return src
-            if ("factor", i) in regs:
-                return regs[("factor", i)]
-            return define(("factor", i),
-                          lambda r: (_SHIFT, r, src, sign, kn, k0))
-
-        def base(i):
-            fs = self.bases[i]
-            if len(fs) == 1:
-                return factor(fs[0])
-            if ("base", i) in regs:
-                return regs[("base", i)]
-            srcs = tuple(factor(f) for f in fs)
-            return define(("base", i), lambda r: (_PROD, r, srcs))
-
-        for g, terms in enumerate(self.groups):
-            for b, poly in terms:
-                code.append((_CONST, poly) if b is None
-                            else (_TERM, base(b), poly))
-            if g < len(self.groups) - 1:
-                code.append((_COUNT,))
-
-        def reads(ins):
-            if ins[0] == _SHIFT:
-                return {ins[2]}
-            if ins[0] == _PROD:
-                return set(ins[2])
-            if ins[0] == _TERM:
-                return {ins[1]}
-            return set()
-
-        last = {r: i for i, ins in enumerate(code) for r in reads(ins)}
-        phys = {r: r for r in range(k)}
-        free: List[int] = []
-        n_buffers = 0
-        program = []
-        for i, ins in enumerate(code):
-            op = ins[0]
-            if op in (_LIN, _SHIFT, _PROD):  # defines register ins[1]
-                if not free:
-                    free.append(k + n_buffers)
-                    n_buffers += 1
-                phys[ins[1]] = free.pop()
-            if op == _SHIFT:
-                ins = (op, phys[ins[1]], phys[ins[2]]) + ins[3:]
-            elif op == _PROD:
-                ins = (op, phys[ins[1]], tuple(phys[r] for r in ins[2]))
-            elif op in (_LIN, _TERM):
-                ins = (op, phys[ins[1]], ins[2])
-            program.append(ins)
-            free += [phys[r] for r in reads(code[i])
-                     if r >= k and last[r] == i]
-        return tuple(program), n_buffers
-
-    def magnitude_bound(self, n_target: int):
-        """An upper bound on the absolute value of every integer that
-        run_block(n_target, ...) forms on a valid table: draws, parts,
-        factors, products, terms, running sums, states and loads.
-
-        run_block checks after each step that the new state is feasible,
-        so every state it evaluates at step n satisfies state >= 0 and
-        footprints . state <= n, provided the initial state does at n = 2.
-        The groups' sums of products are bounded by chains.magnitude_bound
-        on the vertices of that simplex for n = 2 and for the last step;
-        a part, a factor, a product or a term with its coefficient
-        polynomial is one of the values it covers.  Infinite when a
-        footprint is not positive or the initial state is infeasible."""
-        fps = [int(x) for x in self.footprints]
-        init = self.table.initial
-        if min(fps) <= 0 or min(init) < 0 or \
-                sum(f * x for f, x in zip(fps, init)) > 2:
-            return math.inf
-        top = max(2, n_target - 1)
-        k = len(fps)
-        vertices = [(n,) + (0,) * k for n in (2, top)]
-        vertices += [(n,) + tuple(Fraction(n, f) if i == j else 0
-                                  for j, f in enumerate(fps))
-                     for n in (2, top) for i in range(k)]
-        step = np.abs(self.deltas).max(axis=0) if len(self.deltas) else [0] * k
-        states = [math.ceil(Fraction(top, f)) + int(d) for f, d in zip(fps, step)]
-        return max(chains.magnitude_bound(self.sops, vertices), top * top,
-                   *states, sum(f * s for f, s in zip(fps, states)))
-
-    def run_block(self, n_target: int, seed: int, lo: int, hi: int) -> np.ndarray:
-        m = hi - lo
-        k = len(self.table.components)
-        dt = np.int32 if self.magnitude_bound(n_target) < 2 ** 31 else np.int64
-        state = np.empty((k, m), dtype=dt)
-        state[:] = np.array(self.table.initial, dtype=dt)[:, None]
-        deltas = self.deltas.T.astype(dt)
-        regs = list(state) + [np.empty(m, dt) for _ in range(self.n_buffers)]
-        cum, tmp, v = np.empty(m, dt), np.empty(m, dt), np.empty(m, dt)
-        mask = np.empty(m, dtype=bool)
-        cnt = np.empty(m, dtype=np.uint8 if len(self.groups) <= 256 else np.intp)
-        for n in range(2, n_target):
-            nn = n * n
-            raw = raw_block(seed, n, lo, hi)
-            q = raw // nn  # raw - q * nn is raw % nn, and faster
-            q *= nn
-            raw -= q
-            v[:] = raw
-            cum.fill(0)
-            cnt.fill(0)
-            for ins in self.program:
-                op = ins[0]
-                if op == _TERM:
-                    c = _poly_at(ins[2], n)
-                    if c == 1:
-                        np.add(cum, regs[ins[1]], out=cum)
-                    elif c == -1:
-                        np.subtract(cum, regs[ins[1]], out=cum)
-                    elif c:
-                        np.multiply(regs[ins[1]], c, out=tmp)
-                        np.add(cum, tmp, out=cum)
-                elif op == _COUNT:
-                    np.less_equal(cum, v, out=mask)
-                    np.add(cnt, mask.view(np.uint8), out=cnt)
-                elif op == _PROD:
-                    out, srcs = regs[ins[1]], ins[2]
-                    np.multiply(regs[srcs[0]], regs[srcs[1]], out=out)
-                    for r in srcs[2:]:
-                        np.multiply(out, regs[r], out=out)
-                elif op == _SHIFT:
-                    _, dst, src, sign, kn, k0 = ins
-                    if sign > 0:
-                        np.add(regs[src], kn * n + k0, out=regs[dst])
-                    else:
-                        np.subtract(kn * n + k0, regs[src], out=regs[dst])
-                elif op == _LIN:
-                    _combine(state, ins[2], regs[ins[1]], tmp)
-                else:  # _CONST
-                    np.add(cum, _poly_at(ins[1], n), out=cum)
-            # no count after the last group: its running sum is n^2 > v
-            if not (cum == nn).all():
-                raise chains.TableError(
-                    f"table {self.table.name}: numerators do not sum to n^2 "
-                    f"at n={n}; transcription suspect")
-            for row, d in zip(state, deltas):
-                # cnt < len(deltas) by construction: clipping changes nothing
-                np.take(d, cnt, out=tmp, mode="clip")
-                np.add(row, tmp, out=row)
-            load = _combine(state, self.footprints, cum, tmp)
-            if load.max() > n + 1 or state.min() < 0:
-                raise chains.TableError(
-                    f"table {self.table.name}: infeasible state at n={n + 1}")
-        obs = np.empty((len(self.obs_names), m), dtype=np.int64)
-        point = (0,) + tuple(state.astype(np.int64))
-        for i, sop in enumerate(self.table.observables.values()):
-            obs[i] = chains.evaluate(sop, point)
-        return obs.T
+    A step fills the families the groups read (table.families, at the
+    free count D = n - footprints . state) on the whole block and adds the
+    groups' numerators, in order, into one running sum cum; a replication
+    with draw v takes the group numbered #{g : cum_g <= v}.  The table's
+    proof makes the numerators >= 0 with sum n^2 > v, so the last group is
+    never evaluated.  After each step the new states are checked to be
+    feasible."""
+    m = hi - lo
+    k = len(table.components)
+    dt = _kernel_dtype(n_target)
+    fps = [table.footprints[c] for c in table.components]
+    counted = table.groups[:-1]
+    used = {fam for _, terms in counted for fam, _ in terms}
+    state = np.empty((k, m), dtype=dt)
+    state[:] = np.array(table.initial, dtype=dt)[:, None]
+    deltas = np.array([d for d, _ in table.groups], dtype=dt).T
+    load, free, cum, tmp, v = (np.empty(m, dt) for _ in range(5))
+    xs = list(state) + [free]
+    values = {fam: xs[fam[0]] if len(fam) == 1 else np.empty(m, dt)
+              for fam in table.families if fam in used}
+    mask = np.empty(m, dtype=bool)
+    cnt = np.empty(m, dtype=np.uint8 if len(table.groups) <= 256 else np.intp)
+    _combine(state, fps, load, tmp)
+    for n in range(2, n_target):
+        nn = n * n
+        raw = raw_block(seed, n, lo, hi)
+        q = raw // nn  # raw - q * nn is raw % nn, and faster
+        q *= nn
+        raw -= q
+        v[:] = raw
+        np.subtract(n, load, out=free)
+        for fam, out in values.items():
+            if len(fam) == 1:
+                continue
+            i, j = fam
+            if i == j:
+                np.subtract(xs[i], 1, out=tmp)
+                np.multiply(xs[i], tmp, out=out)
+            else:
+                np.multiply(xs[i], xs[j], out=out)
+        cum.fill(0)
+        cnt.fill(0)
+        for _, terms in counted:
+            for fam, c in terms:
+                if c == 1:
+                    np.add(cum, values[fam], out=cum)
+                else:
+                    np.multiply(values[fam], c, out=tmp)
+                    np.add(cum, tmp, out=cum)
+            np.less_equal(cum, v, out=mask)
+            np.add(cnt, mask.view(np.uint8), out=cnt)
+        for row, d in zip(state, deltas):
+            # cnt < len(deltas) by construction: clipping changes nothing
+            np.take(d, cnt, out=tmp, mode="clip")
+            np.add(row, tmp, out=row)
+        _combine(state, fps, load, tmp)
+        if load.max() > n + 1 or state.min() < 0:
+            raise chains.TableError(
+                f"table {table.name}: infeasible state at n={n + 1}")
+    obs = np.empty((len(table.observables), m), dtype=np.int64)
+    point = (0,) + tuple(state.astype(np.int64))
+    for i, sop in enumerate(table.observables.values()):
+        obs[i] = chains.evaluate(sop, point)
+    return obs.T
 
 
 def _combine(rows: np.ndarray, coefs, out: np.ndarray,
@@ -535,13 +355,13 @@ def run_experiment(cfg: ExperimentConfig,
             return patterns.count_batch(networks.generate_batch(
                 cfg.n, cfg.seed, range(lo + 1, hi + 1)), components)
     else:
-        compiled = _CompiledChain(chains.builtin_table(cfg.source))
-        components = compiled.obs_names
+        table = chains.builtin_table(cfg.source)
+        components = tuple(table.observables)
         block = CHUNK
 
         def work(lo, hi):
             hi4 = (hi + 3) // 4 * 4
-            return compiled.run_block(cfg.n, cfg.seed, lo, hi4)[: hi - lo]
+            return _chain_block(table, cfg.n, cfg.seed, lo, hi4)[: hi - lo]
 
     histogram: Dict[Tuple[int, ...], int] = {}
     block_rows = [] if raw_csv else None

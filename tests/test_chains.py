@@ -2,7 +2,6 @@ import json
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from rtcnlab import chains, moments, montecarlo, networks, patterns, verify
@@ -78,24 +77,62 @@ def test_c_i_double_trident_rule_present():
     assert ((1, 0, -2), "4*c*(c-1)") in rows
 
 
+def _feasible_states(fps, n):
+    """Every state x >= 0 with fps . x <= n."""
+    if not fps:
+        yield ()
+        return
+    for x in range(n // fps[0] + 1):
+        for rest in _feasible_states(fps[1:], n - fps[0] * x):
+            yield (x,) + rest
+
+
+def _check_family_forms(table, n_max):
+    """The oracle for the load-time proof: at every feasible state of
+    every n <= n_max, each rule's family form equals Python's eval of its
+    text and is >= 0, each change vector's summed form equals its rules'
+    sum, and the rules sum to n^2."""
+    fps = [table.footprints[c] for c in table.components]
+    forms = [chains.family_form(rule.numerator, fps) for rule in table.rules]
+    for n in range(2, n_max + 1):
+        for state in _feasible_states(fps, n):
+            xs = state + (n - sum(f * x for f, x in zip(fps, state)),)
+            sums = {}
+            for rule, form in zip(table.rules, forms):
+                num = _eval_numerator(rule.numerator_text, n, state)
+                assert num == sum(c * chains.family_value(fam, xs)
+                                  for fam, c in form.items()), (n, state)
+                assert num >= 0, (n, state, rule.case)
+                sums[rule.delta] = sums.get(rule.delta, 0) + num
+            assert [delta for delta, _ in table.groups] == list(sums)
+            for delta, terms in table.groups:
+                assert sums[delta] == sum(c * chains.family_value(fam, xs)
+                                          for fam, c in terms), (n, state)
+            assert sum(sums.values()) == n * n, (n, state)
+
+
 def test_validate_all_tables():
     for cid in chains.BUILTIN_IDS:
-        table = chains.builtin_table(cid)
-        assert chains.validate_table(table, n_max=15) == []
+        _check_family_forms(chains.builtin_table(cid), 15)
 
 
 def test_validate_b_iv_to_30():
-    assert chains.validate_table(chains.builtin_table("b-iv"), n_max=30) == []
+    _check_family_forms(chains.builtin_table("b-iv"), 30)
 
 
 def test_validate_catches_perturbed_numerator(tmp_path):
-    src = chains._DATA_DIR / "b_iv.json"
-    doc = json.loads(src.read_text())
+    doc = json.loads((chains._DATA_DIR / "b_iv.json").read_text())
     doc["rules"][0]["numerator"] = "3*a + 1"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    table = chains.load_table(bad)
-    assert chains.validate_table(table, n_max=8) != []
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 0 \[[^]]*\]: term 1 of degree 0 is no "
+            r"lineage-pair family$")):
+        _table_file(tmp_path, doc)
+    doc = _trident_doc()
+    doc["rules"][2]["numerator"] += " + a*a*(n - 3*a)"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 2 \[any other attachment/complement\]: "
+            r"term 1\*a\*a\*D of degree 3 is no lineage-pair family$")):
+        _table_file(tmp_path, doc)
 
 
 def test_exact_distribution_trident_small():
@@ -140,16 +177,39 @@ def test_cherry_falling_moments_approach_quarter_powers():
     assert abs(m2 - Fraction(1, 16)) < Fraction(1, 100)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(chains, "_MAX_STATES", 50)
     with pytest.raises(chains.BudgetExceeded,
                        match=r"^51 states at n=24 exceeds budget 50$"):
-        chains.exact_distribution(chains.builtin_table("c-i"), 60, max_states=50)
+        chains.exact_distribution(chains.builtin_table("c-i"), 60)
+
+
+def test_exact_int64_guard():
+    # c-i has 3 components and 340 cells: 340 * (3n + 1)^2 passes 2^63
+    # near n = 5.5e7, and the run stops before any propagation
+    table = chains.builtin_table("c-i")
+    assert sum(chains._cells((7, 5, 3)).values()) == 340
+    with pytest.raises(chains.BudgetExceeded, match=(
+            r"^n=100000000 is beyond the int64 grids of table c-i$")):
+        chains.exact_distribution(table, 10 ** 8)
+
+
+def test_trident_family_form():
+    t = chains.builtin_table("trident")
+    forms = [chains.family_form(r.numerator, (3,)) for r in t.rules]
+    # 3a(3a - 2) = 9 a(a-1) + 3 a; the complement is 6 aD + 6 a + D
+    assert forms == [{(0, 0): 9, (0,): 3}, {(1, 1): 1},
+                     {(0, 1): 6, (0,): 6, (1,): 1}]
+    assert [chains.family_name(f, 1) for f in t.families] == [
+        "a(a-1)", "a*D", "D(D-1)", "a", "D"]
+    assert t.groups == [((-1,), (((0, 0), 9), ((0,), 3))),
+                        ((1,), (((1, 1), 1),)),
+                        ((0,), (((0, 1), 6), ((0,), 6), ((1,), 1)))]
 
 
 def test_exact_distribution_matches_reference_walk():
     for cid in chains.BUILTIN_IDS:
         table = chains.builtin_table(cid)
-        assert chains._grid_dtype(table, 2000) is np.int64, cid
         for n in (2, 3, 4, 7, 12, 20):
             dist = chains.exact_distribution(table, n)
             assert dist == _reference_distribution(table, n), (cid, n)
@@ -167,104 +227,80 @@ def test_exact_laws_equal_exact_distribution():
 
 
 def test_exact_negative_numerator_at_reachable_state(tmp_path):
+    # the first numerator is -1 at n=2, state (0,): load rejects the
+    # constant term before any propagation
     doc = _trident_doc()
     doc["rules"][0]["numerator"] += " - 1"
     doc["rules"][2]["numerator"] += " + 1"
-    table = _table_file(tmp_path, doc)
     with pytest.raises(chains.TableError, match=(
-            r"^negative numerator at n=2 state=\(0,\) "
-            r"rule \[reticulation/inside one trident\]$")):
-        chains.exact_distribution(table, 5)
-
-
-def test_exact_negative_numerator_off_support_is_ignored(tmp_path):
-    # u makes a numerator negative below the support and the other one
-    # above it
-    table = _table_file(tmp_path, _diagonal_doc("100*(a + b + 2 - n)"))
-    law = chains.exact_distribution(table, 4)
-    assert set(law) == {(2, 0), (1, 1), (0, 2)}
-    assert chains.evaluate(table.rules[0].numerator, (4, 0, 0)) < 0
-    assert chains.evaluate(table.rules[1].numerator, (4, 2, 2)) < 0
-    assert chains.exact_distribution(table, 12) == \
-        _reference_distribution(table, 12)
+            r"table\.json: rule 0 \[reticulation/inside one trident\]: "
+            r"term -1 of degree 0 is no lineage-pair family$")):
+        _table_file(tmp_path, doc)
+    # 9a(a-1) - 3a is -3 at a = 1; the complement keeps the sum n^2
+    doc = _trident_doc()
+    doc["rules"][0]["numerator"] = "3*a*(3*a - 4)"
+    doc["rules"][2]["numerator"] += " + 6*a"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: rule 0 \[reticulation/inside one trident\]: "
+            r"family a has coefficient -3 < 0$")):
+        _table_file(tmp_path, doc)
 
 
 def test_exact_numerators_not_summing_to_n_squared(tmp_path):
     doc = _trident_doc()
     doc["rules"][2]["numerator"] += " + 1"
-    table = _table_file(tmp_path, doc)
     with pytest.raises(chains.TableError, match=(
-            r"^table trident: numerators sum to 5 != n\^2 at n=2, "
-            r"state=\(0,\); transcription suspect$")):
-        chains.exact_distribution(table, 5)
+            r"table\.json: rule 2 \[any other attachment/complement\]: "
+            r"term 1 of degree 0 is no lineage-pair family$")):
+        _table_file(tmp_path, doc)
+    # numerators summing to n^2 + a
+    doc = _trident_doc()
+    doc["rules"][2]["numerator"] += " + a"
+    with pytest.raises(chains.TableError, match=(
+            r"table\.json: family a: the rules' coefficients sum to 10, "
+            r"not to its 9 cells$")):
+        _table_file(tmp_path, doc)
+
+
+def _infeasible_doc():
+    # two free lineages make a trident that moves a by 2: the proof
+    # holds, but a = 2 needs 6 > 3 lineages at n = 3
+    doc = _trident_doc()
+    doc["rules"][1]["delta"] = {"a": 2}
+    return doc
 
 
 def test_exact_infeasible_successor(tmp_path):
-    doc = _trident_doc()
-    doc["footprints"]["a"] = 5
-    table = _table_file(tmp_path, doc)
+    table = _table_file(tmp_path, _infeasible_doc())
     with pytest.raises(chains.TableError, match=(
-            r"^table trident: infeasible state \(1,\) at n=3; "
+            r"^table trident: infeasible state \(2,\) at n=3; "
             r"transcription suspect$")):
         chains.exact_distribution(table, 5)
 
 
-def _diagonal_doc(u):
-    # every step adds one to a or to b, so the support at n leaves is the
-    # antidiagonal a + b = n - 2 of the box [0, n - 2]^2; u vanishes on it
-    return {"name": "diagonal", "components": ["a", "b"],
-            "footprints": {"a": 1, "b": 1}, "initial": {"a": 0, "b": 0},
-            "observables": {"a": "a"},
-            "rules": [
-                {"event": "e", "case": "left", "delta": {"a": 1},
-                 "numerator": f"n*n - n + {u}"},
-                {"event": "e", "case": "right", "delta": {"b": 1},
-                 "numerator": f"n - {u}"}]}
-
-
-def test_exact_python_int_grids(tmp_path):
-    # a coefficient of 2^63 does not fit int64 (numpy raises OverflowError
-    # on an int64 grid), so this table must run on Python-int grids; u is
-    # zero on the support, so the law is still valid
-    table = _table_file(tmp_path, _diagonal_doc(
-        "9223372036854775808*(a + b + 2 - n)"))
-    assert max(abs(c) for r in table.rules
-               for c in r.numerator.values()) >= 2 ** 63
-    assert chains._grid_dtype(table, 12) is object
-    assert chains.exact_distribution(table, 12) == \
-        _reference_distribution(table, 12)
-
-
-def test_box_corners_hold_every_propagated_box(tmp_path):
-    # every step of the counter adds one to a: no change vector is zero
-    counter = _table_file(tmp_path, {
-        "name": "counter", "components": ["a"], "footprints": {"a": 1},
-        "initial": {"a": 0}, "observables": {"a": "a"},
-        "rules": [{"event": "e", "case": "up", "delta": {"a": 1},
-                   "numerator": "n*n"}]})
-    tables = [chains.builtin_table(cid) for cid in chains.BUILTIN_IDS]
-    for table in tables + [counter]:
-        corners = np.array(chains._box_corners(table, 25))
-        lo, hi = corners.min(axis=0), corners.max(axis=0)
-        laws = chains._propagate(table, 25, chains._MAX_STATES)
-        for n, (_, live, origin, _) in enumerate(laws, start=2):
-            for cell in (origin, origin + live.shape - 1):
-                point = np.concatenate([[n], cell])
-                assert (lo <= point).all() and (point <= hi).all(), \
-                    (table.name, n)
-
-
-def test_magnitude_bound_covers_partial_sums_and_products():
-    # on the segment n = 2..10, a = 10, |n - a| <= 8, but evaluate forms
-    # n = 10 before it subtracts a
-    sop = chains._sum_of_products("n - a", ("n", "a"))
-    assert chains.magnitude_bound([sop], [(2, 10), (10, 10)]) == 20
-    # n - 10 vanishes at n = 10, but 100*a = 600 is formed before it
-    sop = chains._sum_of_products("100*a*(n - 10)", ("n", "a"))
-    assert sop == {((0, 1, 0, 0, 0), (1, 0, 0, 0, -10)): 100}
-    assert chains.magnitude_bound([sop], [(10, 0), (10, 6)]) == 600
-    # the terms of all the sums add up
-    assert chains.magnitude_bound([sop, sop], [(10, 0), (10, 6)]) == 1200
+def test_load_table_rejects_values_that_are_not_integers(tmp_path):
+    cases = [
+        (lambda d: d["rules"][1]["delta"].update(a=1.7),
+         r"rule 1 \[reticulation/two non-trident lineages\]: delta: "
+         r"'a' is 1\.7, not an integer"),
+        (lambda d: d["rules"][0]["delta"].update(a=True),
+         r"rule 0 \[reticulation/inside one trident\]: delta: "
+         r"'a' is True, not an integer"),
+        (lambda d: d["initial"].update(a=0.4), r"initial: 'a' is 0\.4, "
+         r"not an integer"),
+        (lambda d: d["footprints"].update(a=3.9), r"footprints: 'a' is 3\.9, "
+         r"not an integer"),
+        (lambda d: d["footprints"].update(a=0), r"footprints: 'a' is 0, "
+         r"below 1"),
+        (lambda d: d["initial"].update(a=1), r"initial: state \(1,\) is "
+         r"infeasible at n=2"),
+    ]
+    for mutate, message in cases:
+        doc = _trident_doc()
+        mutate(doc)
+        with pytest.raises(chains.TableError,
+                           match=rf"table\.json: {message}$"):
+            _table_file(tmp_path, doc)
 
 
 def test_load_table_rejects_unknown_variable(tmp_path):

@@ -237,6 +237,18 @@ def test_missing_sigma_file_is_input_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_malformed_sigma_file_is_input_error(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    for doc, message in (
+            ([1, 2], "covariance file must be an object with a 3x3 'matrix'"),
+            ({"matrix": [[None, 0, 0], [0, 1, 0], [0, 0, 1]]},
+             "covariance entry None is not a number")):
+        sigma.write_text(json.dumps(doc))
+        assert run(["verify", "--suite", "moments",
+                    "--sigma-file", str(sigma)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 def test_verify_flag_the_suite_does_not_read_is_usage_error(capsys):
     ignored = [("--leaves", s) for s in ("conjecture", "moments", "matcher")]
     ignored += [("--reps", s)

@@ -360,18 +360,17 @@ def _reference_rows(doc, n_target, seed, reps):
 
 
 def _kernel_rows(table, n_target, seed, reps):
-    kernel = mc._CompiledChain(table)
-    return [tuple(r) for r in
-            kernel.run_block(n_target, seed, 0, (reps + 3) // 4 * 4)[:reps].tolist()]
+    rows = mc._chain_block(table, n_target, seed, 0, (reps + 3) // 4 * 4)
+    return [tuple(r) for r in rows[:reps].tolist()]
 
 
 def test_kernel_matches_scalar_reference_on_every_table(tmp_path):
+    assert mc._kernel_dtype(2000) is np.int32
     reps = 37  # not a multiple of 4
     for cid in chains.BUILTIN_IDS:
         table = chains.builtin_table(cid)
         doc = json.loads((chains._DATA_DIR / (cid.replace("-", "_") + ".json")
                           ).read_text())
-        assert mc._CompiledChain(table).magnitude_bound(2000) < 2 ** 31, cid
         for n in (2, 3, 6, 17, 40):
             want = _reference_rows(doc, n, 8, reps)
             assert _kernel_rows(table, n, 8, reps) == want, (cid, n)
@@ -382,39 +381,30 @@ def test_kernel_matches_scalar_reference_on_every_table(tmp_path):
         assert [tuple(int(x) for x in l.split(",")[1:]) for l in lines] == want
 
 
-def test_kernel_int64_branch(tmp_path):
-    # the second running sum is n^2 + a * (3e9 - 1), beyond int32 once
-    # a > 0; the negative third numerator brings the last one back to n^2
-    doc = {"name": "wide", "components": ["a"], "footprints": {"a": 1},
-           "initial": {"a": 0}, "observables": {"a": "a"},
-           "rules": [
-               {"event": "e", "case": "up", "delta": {"a": 1},
-                "numerator": "n - a"},
-               {"event": "e", "case": "stay", "delta": {"a": 0},
-                "numerator": "3000000000*a + n*n - n"},
-               {"event": "e", "case": "down", "delta": {"a": -1},
-                "numerator": "a - 3000000000*a"}]}
-    path = tmp_path / "wide.json"
+def test_kernel_int64_branch(monkeypatch):
+    # (n_target - 1)^2 fits int32 up to n_target = 46341
+    assert mc._kernel_dtype(46341) is np.int32
+    assert mc._kernel_dtype(46342) is np.int64
+    monkeypatch.setattr(mc, "_kernel_dtype", lambda n_target: np.int64)
+    for cid in ("trident", "a-i", "c-i"):
+        table = chains.builtin_table(cid)
+        doc = json.loads((chains._DATA_DIR / (cid.replace("-", "_") + ".json")
+                          ).read_text())
+        assert _kernel_rows(table, 40, 2, 41) == _reference_rows(doc, 40, 2, 41)
+
+
+def test_kernel_infeasible_successor(tmp_path):
+    # the twin of the exact engine's test: a change vector of +2 for a
+    # trident made of two free lineages passes the proof, and a = 2 at
+    # n = 3 is infeasible
+    doc = json.loads((chains._DATA_DIR / "trident.json").read_text())
+    doc["rules"][1]["delta"] = {"a": 2}
+    path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     table = chains.load_table(path)
-    assert mc._CompiledChain(table).magnitude_bound(30) >= 2 ** 31
-    want = _reference_rows(doc, 30, 2, 41)
-    assert max(want)[0] > 0
-    assert _kernel_rows(table, 30, 2, 41) == want
-
-
-def test_kernel_bound_takes_every_simplex_vertex():
-    # each numerator peaks at a vertex that the bound's other terms do
-    # not reach: 10^6 (n - a) at the zero state, 10^6 (1000 - n + a) at
-    # n = 2, a = 1 when a's footprint is 2
-    for text, fp, peak in (("1000000*(n - a)", 1, 10**6 * 99),
-                           ("1000000*(1000 - n + a)", 2, 10**6 * 999)):
-        rule = chains.TransitionRule(
-            "e", "x", (1,), chains._sum_of_products(text, ("n", "a")), text)
-        table = chains.TransitionTable(
-            name="v", description="", components=("a",),
-            footprints={"a": fp}, initial=(0,), rules=[rule], observables={})
-        assert mc._CompiledChain(table).magnitude_bound(100) >= peak, text
+    with pytest.raises(chains.TableError,
+                       match=r"^table trident: infeasible state at n=3$"):
+        mc._chain_block(table, 5, 0, 0, 8)
 
 
 def _eval_sop(sop, point):
@@ -435,103 +425,72 @@ _numerators = st.recursive(
     max_leaves=7)
 
 
-def _propagation_values(rules, fps, point):
-    """Every integer the exact propagation forms at one box point, in the
-    order chains.evaluate takes: monomials and partial sums of each form,
-    partial products, terms, rule sums and the running total, and the
-    load's products and partial sums."""
-    values, total = [], 0
-    for rule in rules:
-        num = 0
-        for prod, coef in rule.numerator.items():
-            term = coef
-            for form in prod:
-                value = form[4]
-                for w, x in zip(form, point):
-                    value += w * x
-                    values += [w * x, value]
-                term *= value
-                values.append(term)
-            num += term
-            values.append(num)
-        total += num
-        values.append(total)
-    load = 0
-    for f, x in zip(fps, point[1:]):
-        load += f * x
-        values += [f * x, load]
-    return values
+class _Poly(dict):
+    """A polynomial as {sorted variable indices: coefficient}, built by
+    Python's eval of a numerator's text: an expansion independent of the
+    package's."""
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Poly) else _Poly({(): x})
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for mono, c in _Poly.of(other).items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({mono: -c for mono, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for mono, c in self.items():
+            for mono2, c2 in _Poly.of(other).items():
+                key = tuple(sorted(mono + mono2))
+                out[key] = out.get(key, 0) + c * c2
+        return out
+
+    __rmul__ = __mul__
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(texts=st.lists(_numerators, min_size=1, max_size=3),
-       fps=st.tuples(*[st.integers(1, 7)] * 3),
-       n_target=st.integers(3, 3000), data=st.data())
-def test_sum_of_products_rewrite_and_bound(texts, fps, n_target, data):
-    """The parsed form equals eval, magnitude_bound dominates every value
-    the kernel forms at feasible states, and the box bound every value
-    the exact propagation forms at points of its box."""
+       fps=st.tuples(*[st.integers(1, 7)] * 3), data=st.data())
+def test_sum_of_products_rewrite_and_family_round_trip(texts, fps, data):
+    """The parsed form equals eval; the family form exists exactly when
+    the text, as a polynomial in (a, b, c, D) with n = D + fps . (a, b,
+    c), has only terms of degree 1 and 2, and then equals the parsed form
+    at arbitrary integer points."""
     sops = [chains._sum_of_products(t) for t in texts]
-    for _ in range(5):
-        point = tuple(data.draw(st.integers(-50, 50)) for _ in range(4))
+    points = [tuple(data.draw(st.integers(-50, 50)) for _ in range(4))
+              for _ in range(5)]
+    for point in points:
         for text, sop in zip(texts, sops):
             want = _eval_text(text, point[0], point[1:])
             assert _eval_sop(sop, point) == want
             assert chains.evaluate(sop, point) == want
-    deltas = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
-                                min_size=len(texts), max_size=len(texts),
-                                unique=True))
-    rules = [chains.TransitionRule("e", str(i), delta, sop, text)
-             for i, (delta, sop, text) in enumerate(zip(deltas, sops, texts))]
-    table = chains.TransitionTable(
-        name="h", description="", components=("a", "b", "c"),
-        footprints=dict(zip("abc", fps)), initial=(0, 0, 0), rules=rules,
-        observables={"a": chains._sum_of_products("a", ("a", "b", "c"))})
-    kernel = mc._CompiledChain(table)
-    bound = kernel.magnitude_bound(n_target)
-    for _ in range(5):
-        n = data.draw(st.integers(2, max(2, n_target - 1)))
-        state, budget = [], n
-        for f in fps:
-            state.append(data.draw(st.integers(0, budget // f)))
-            budget -= f * state[-1]
-        values = [n * n]
-        parts = []
-        for part in kernel.parts:
-            acc = 0
-            for w, x in zip(part, state):
-                acc += w * x
-                values += [w * x, acc]
-            parts.append(acc)
-        facs = [sign * parts[p] + kn * n + k0
-                for p, sign, kn, k0 in kernel.factors]
-        values += facs + [kn * n + k0 for _, _, kn, k0 in kernel.factors]
-        bases = []
-        for base in kernel.bases:
-            prod = 1
-            for i in base:
-                prod *= facs[i]
-                values.append(prod)
-            bases.append(prod)
-        cum = 0
-        for text, terms in zip(texts, kernel.groups):
-            group = 0
-            for base, poly in terms:
-                c = mc._poly_at(poly, n)
-                term = c * (1 if base is None else bases[base])
-                group += term
-                cum += term
-                values += [c, term, cum]
-            assert group == _eval_text(text, n, state)
-        assert max(abs(x) for x in values) <= bound
-    corners = chains._box_corners(table, n_target)
-    load = {((0,) + fps + (0,),): 1}
-    box_bound = chains.magnitude_bound(sops + [load], corners)
-    assert (chains._grid_dtype(table, n_target) is np.int64) == \
-        (box_bound < 2 ** 63)
-    points = [tuple(data.draw(st.integers(min(c[i] for c in corners),
-                                          max(c[i] for c in corners)))
-                    for i in range(4)) for _ in range(5)]
-    for point in corners + points:
-        values = _propagation_values(rules, fps, point)
-        assert max(abs(x) for x in values) <= box_bound
+    xs = [_Poly({(i,): 1}) for i in range(4)]
+    variables = dict(zip("abc", xs), n=xs[3] + sum(f * x for f, x in zip(fps, xs)))
+    for text, sop in zip(texts, sops):
+        poly = _Poly.of(eval(text, {"__builtins__": {}}, variables))
+        degrees = {len(mono) for mono, c in poly.items() if c}
+        if not degrees <= {1, 2}:
+            with pytest.raises(chains.TableError, match="lineage-pair family"):
+                chains.family_form(sop, fps)
+            continue
+        form = chains.family_form(sop, fps)
+        assert all(0 <= i <= 3 for fam in form for i in fam)
+        for point in points:
+            free = point[0] - sum(f * x for f, x in zip(fps, point[1:]))
+            got = sum(c * chains.family_value(fam, point[1:] + (free,))
+                      for fam, c in form.items())
+            assert got == chains.evaluate(sop, point)
