@@ -6,11 +6,13 @@ plus a polynomial numerator in (n, a, b, c); the probability of the rule
 at leaf count n is numerator / n^2.  The tables live in data files, one
 record per case of the underlying attachment argument, so that every row
 can be audited independently.  Each numerator and observable is parsed
-once, into a sum of products of linear forms; table text is never
-executed.  Building a table proves it: every numerator is rewritten as a
+once, into its canonical polynomial; table text is never executed.
+Building a table proves it: every numerator is rewritten as a
 non-negative combination of lineage-cell families whose totals are the
-families' cell counts, and exact propagation and the Monte Carlo kernel
-evaluate only the per-change-vector sums of that form.
+families' cell counts, and every change vector is shown to keep each
+feasible state where it can fire feasible.  Exact propagation and the
+Monte Carlo kernel evaluate only the per-change-vector sums of that
+form, and neither checks feasibility as it steps.
 
 Exact distribution propagation keeps probabilities as integers over the
 common denominator prod(ell^2), so results are exact rationals.
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 import ast
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,112 +37,77 @@ BUILTIN_IDS = ("trident", "a-i", "a-ii", "b-i", "b-ii", "b-iii",
 # derived by the same attachment-case analysis and carry the same checks
 TRANSCRIBED_IDS = ("trident", "a-i", "b-iv", "b-i", "c-i")
 
-# support size above which exact propagation stops with a TableError
+# support size above which exact propagation stops with BudgetExceeded
 _MAX_STATES = 2_000_000
 
-# A linear form kn*n + ka*a + kb*b + kc*c + k0 is the tuple
-# (kn, ka, kb, kc, k0), a, b, c being the components by position.  A
-# numerator or observable is parsed once into a sum of products: a dict
-# from a sorted tuple of forms (the empty tuple is the constant 1) to its
-# integer coefficient.
-_FORM_VARS = ("n", "a", "b", "c")
-_ONE = (0, 0, 0, 0, 1)
-SumOfProducts = Dict[Tuple[Tuple[int, ...], ...], int]
+# A polynomial over (n, a, b, c), a, b, c being the components by
+# position, is a dict from a monomial, the sorted tuple of its variable
+# indices (the empty tuple is the constant 1), to its nonzero integer
+# coefficient: one canonical form per polynomial, whatever its spelling.
+_VARS = ("n", "a", "b", "c")
+Polynomial = Dict[Tuple[int, ...], int]
 
 
 class TableError(ValueError):
     pass
 
 
-def _form_sop(form: Tuple[int, ...]) -> SumOfProducts:
-    """One linear form as a sum of products, with its gcd and the sign of
-    its first nonzero coefficient moved into the coefficient."""
-    g = math.gcd(*form)
-    if g == 0:
-        return {}
-    scale = g if next(x for x in form if x) > 0 else -g
-    prim = tuple(x // scale for x in form)
-    return {() if prim == _ONE else (prim,): scale}
+def _add(out: Polynomial, mono: Tuple[int, ...], coef: int) -> None:
+    coef += out.get(mono, 0)
+    if coef:
+        out[mono] = coef
+    else:
+        out.pop(mono, None)
 
 
-def _as_form(sop: SumOfProducts) -> Optional[Tuple[int, ...]]:
-    """The linear form a sum of products equals, or None if it has a
-    product of two or more forms."""
-    total = [0] * 5
-    for prod, coef in sop.items():
-        if len(prod) > 1:
-            return None
-        for i, x in enumerate(prod[0] if prod else _ONE):
-            total[i] += coef * x
-    return tuple(total)
-
-
-def _add_terms(out: SumOfProducts, sop: SumOfProducts,
-               sign: int = 1) -> SumOfProducts:
-    for prod, coef in sop.items():
-        coef = out.get(prod, 0) + sign * coef
-        if coef:
-            out[prod] = coef
-        else:
-            out.pop(prod, None)
+def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    out: Polynomial = {}
+    for m, c in p.items():
+        for m2, c2 in q.items():
+            _add(out, tuple(sorted(m + m2)), c * c2)
     return out
 
 
-def _sop(node, names) -> SumOfProducts:
+def _poly(node, names) -> Polynomial:
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return _form_sop((0, 0, 0, 0, node.value))
+        return {(): node.value} if node.value else {}
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise TableError(
                 f"variable {node.id!r} is not one of {', '.join(names)}")
-        return _form_sop(tuple(int(node.id == v) for v in _FORM_VARS) + (0,))
+        return {(_VARS.index(node.id),): 1}
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return {p: -c for p, c in _sop(node.operand, names).items()}
+        return {m: -c for m, c in _poly(node.operand, names).items()}
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult)):
-        left, right = _sop(node.left, names), _sop(node.right, names)
+        left, right = _poly(node.left, names), _poly(node.right, names)
         if isinstance(node.op, ast.Mult):
-            out: SumOfProducts = {}
-            for p, c in left.items():
-                for q, d in right.items():
-                    _add_terms(out, {tuple(sorted(p + q)): c * d})
-            return out
+            return _mul(left, right)
         sign = 1 if isinstance(node.op, ast.Add) else -1
-        lf, rf = _as_form(left), _as_form(right)
-        if lf is not None and rf is not None:
-            return _form_sop(tuple(x + sign * y for x, y in zip(lf, rf)))
-        return _add_terms(dict(left), right, sign)
+        for m, c in right.items():
+            _add(left, m, sign * c)
+        return left
     raise TableError(f"unsupported syntax {ast.unparse(node)!r}")
 
 
-def _sum_of_products(text: str, names=_FORM_VARS) -> SumOfProducts:
-    """A polynomial over names as a sum of coefficient x product of
-    linear forms.  A sum of linear forms stays one form; only non-linear
-    sums are distributed."""
+def _polynomial(text: str, names=_VARS) -> Polynomial:
+    """A polynomial's text (integers, names, unary minus, +, - and *),
+    parsed and expanded into its canonical form."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError:
         raise TableError("not an expression") from None
-    return _sop(tree.body, names)
+    return _poly(tree.body, names)
 
 
-def _form_at(form: Tuple[int, ...], point):
-    """kn*n + ka*a + ... + k0 at point = (n, a, ...)."""
-    value = form[4]
-    for w, x in zip(form[:4], point):
-        if w:
-            value = value + w * x
-    return value
-
-
-def evaluate(sop: SumOfProducts, point):
-    """A sum of products at point = (n, a, b, c) (as many coordinates as
-    the table has components), on Python ints or elementwise on arrays."""
+def evaluate(poly: Polynomial, point):
+    """A polynomial at point = (n, a, b, c) (as many coordinates as the
+    table has components), on Python ints or elementwise on arrays."""
     total = 0
-    for prod, coef in sop.items():
+    for mono, coef in poly.items():
         term = coef
-        for form in prod:
-            term = term * _form_at(form, point)
+        for v in mono:
+            term = term * point[v]
         total = total + term
     return total
 
@@ -170,7 +136,7 @@ def _cells(fps: Sequence[int]) -> Dict[Family, int]:
 
 
 def _variables(k: int) -> Tuple[str, ...]:
-    return _FORM_VARS[1:k + 1] + ("D",)
+    return _VARS[1:k + 1] + ("D",)
 
 
 def family_name(family: Family, k: int) -> str:
@@ -190,28 +156,24 @@ def family_value(family: Family, xs):
     return xs[i] * (xs[i] - 1) if i == j else xs[i] * xs[j]
 
 
-def family_form(sop: SumOfProducts, fps: Sequence[int]) -> Dict[Family, int]:
-    """sop as an integer combination of the families of footprints fps:
+def family_form(poly: Polynomial, fps: Sequence[int]) -> Dict[Family, int]:
+    """poly as an integer combination of the families of footprints fps:
     expanded into monomials in (x..., D) through n = D + sum f_i x_i,
     then back-substituted through x^2 = x(x-1) + x.  A constant term or
     a term of degree 3 or more belongs to no family: TableError."""
     k = len(fps)
-    poly: Dict[Tuple[int, ...], int] = {}
-    for prod, coef in sop.items():
-        terms = {(): coef}  # sorted variable indices -> coefficient
-        for form in prod:
-            lin = [((i,), form[1 + i] + form[0] * f) for i, f in enumerate(fps)]
-            lin += [((k,), form[0]), ((), form[4])]
-            nxt: Dict[Tuple[int, ...], int] = {}
-            for mono, c in terms.items():
-                for var, w in lin:
-                    if w:
-                        key = tuple(sorted(mono + var))
-                        nxt[key] = nxt.get(key, 0) + c * w
-            terms = nxt
-        _add_terms(poly, terms)
-    out: Dict[Tuple[int, ...], int] = {}
-    for mono, c in poly.items():
+    # n, a, b, c as polynomials in (x..., D)
+    subs = [{(i,): f for i, f in enumerate(fps)} | {(k,): 1}]
+    subs += [{(i,): 1} for i in range(k)]
+    expanded: Polynomial = {}
+    for mono, coef in poly.items():
+        term = {(): coef}
+        for v in mono:
+            term = _mul(term, subs[v])
+        for m, c in term.items():
+            _add(expanded, m, c)
+    out: Dict[Family, int] = {}
+    for mono, c in expanded.items():
         if not 1 <= len(mono) <= 2:
             term = "*".join([str(c)] + [_variables(k)[v] for v in mono])
             raise TableError(f"term {term} of degree {len(mono)} is no "
@@ -227,7 +189,7 @@ class TransitionRule:
     event: str
     case: str
     delta: Tuple[int, ...]
-    numerator: SumOfProducts
+    numerator: Polynomial
     numerator_text: str
 
 
@@ -241,7 +203,16 @@ class TransitionTable:
     feasible state of every n the numerators are >= 0 and sum to n^2.
     groups holds, per change vector in order of first appearance, the
     summed family coefficients (family, coefficient), in the order of
-    families; the engines read only these."""
+    families; the engines read only these.
+
+    Each change vector d is proved feasible too.  A family is positive
+    exactly at and above its least positive state r (x = 2 for x(x-1),
+    1 for each variable of x*y and for x), and each successor coordinate,
+    x + d and D + 1 - footprints . d, grows with its own.  So if r's
+    successor is feasible for every family of d's group, every step by d
+    lands on a feasible state; and each coordinate takes its least value
+    at a feasible state of some n >= 2, so the proof is exact.  Neither
+    engine checks the states it reaches."""
 
     name: str
     description: str
@@ -249,7 +220,7 @@ class TransitionTable:
     footprints: Dict[str, int]
     initial: Tuple[int, ...]
     rules: List[TransitionRule]
-    observables: Dict[str, SumOfProducts]
+    observables: Dict[str, Polynomial]
     families: Tuple[Family, ...] = field(init=False)
     groups: List[Tuple[Tuple[int, ...], Tuple[Tuple[Family, int], ...]]] = \
         field(init=False)
@@ -276,6 +247,7 @@ class TransitionTable:
         cells = _cells(fps)
         totals = dict.fromkeys(cells, 0)
         groups: Dict[Tuple[int, ...], Dict[Family, int]] = {}
+        first: Dict[Tuple[int, ...], str] = {}
         for i, rule in enumerate(self.rules):
             where = f"rule {i} [{rule.event}/{rule.case}]"
             integers(f"{where}: delta", rule.delta)
@@ -284,6 +256,7 @@ class TransitionTable:
             except TableError as err:
                 raise TableError(f"{where}: {err}") from None
             group = groups.setdefault(rule.delta, {})
+            first.setdefault(rule.delta, where)
             for fam, c in form.items():
                 if c < 0:
                     raise TableError(f"{where}: family {family_name(fam, k)} "
@@ -299,10 +272,24 @@ class TransitionTable:
         self.groups = [(delta, tuple((fam, group[fam]) for fam in cells
                                      if group.get(fam)))
                        for delta, group in groups.items()]
+        names = _variables(k)
+        for delta, terms in self.groups:
+            for fam, _ in terms:
+                least = [fam.count(v) for v in range(k + 1)]
+                after = [x + d for x, d in zip(least, delta)]
+                after.append(least[k] + 1 - sum(
+                    f * d for f, d in zip(fps, delta)))
+                for name, x in zip(names, after):
+                    if x < 0:
+                        at = ", ".join(f"{v}={y}" for v, y in zip(names, least))
+                        raise TableError(
+                            f"{first[delta]}: delta {delta} takes {name} to "
+                            f"{x} from {at}, the least state where family "
+                            f"{family_name(fam, k)} is positive")
 
     def observe(self, state: Sequence[int]) -> Dict[str, int]:
-        return {name: evaluate(sop, (0, *state))
-                for name, sop in self.observables.items()}
+        return {name: evaluate(poly, (0, *state))
+                for name, poly in self.observables.items()}
 
 
 _table_cache: Dict[str, TransitionTable] = {}
@@ -317,57 +304,86 @@ def builtin_table(chain_id: str) -> TransitionTable:
     return _table_cache[chain_id]
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
 def load_table(path) -> TransitionTable:
     """A table from its JSON file, every numerator and observable parsed
-    once and the table proved (see TransitionTable).  The components are
-    the variables a, b, c by position; a numerator may also use n, an
-    observable may not.  The keys of a rule's delta, of initial and of
-    footprints are components; initial and footprints give every
-    component; a delta may omit a component it leaves unchanged."""
+    once and the table proved (see TransitionTable).  The document is an
+    object with a name, 1 to 3 distinct components, footprints, initial,
+    rules and observables.  The components are the variables a, b, c by
+    position; a numerator may also use n, an observable may not.  The
+    keys of a rule's delta, of initial and of footprints are components;
+    initial and footprints give every component; a delta may omit a
+    component it leaves unchanged.  A malformed document is a TableError
+    naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    comps = tuple(doc["components"])
+
+    def need(obj, key, kind=object, where=""):
+        if key not in obj:
+            raise TableError(f"{path}: {where}no {key!r}")
+        if not isinstance(obj[key], kind):
+            raise TableError(f"{path}: {where}{key!r} must be {_KINDS[kind]}")
+        return obj[key]
+
+    if not isinstance(doc, dict):
+        raise TableError(f"{path}: the document must be an object")
+    comps = need(doc, "components", list)
     if len(comps) > 3:
-        raise TableError(f"{path}: {len(comps)} components {list(comps)}; "
+        raise TableError(f"{path}: {len(comps)} components {comps}; "
                          f"at most 3 (a, b, c)")
-    variables = _FORM_VARS[1:len(comps) + 1]
+    if not comps or not all(isinstance(x, str) for x in comps) or len(
+            set(comps)) < len(comps):
+        raise TableError(f"{path}: 'components' must be 1 to 3 distinct "
+                         f"strings, not {comps}")
+    comps = tuple(comps)
+    variables = _VARS[1:len(comps) + 1]
 
     def parse(text, names, where):
         try:
-            return _sum_of_products(text, names)
+            return _polynomial(text, names)
         except TableError as err:
             raise TableError(f"{path}: {where}: {err}: {text!r}") from None
 
-    def check_keys(mapping, where, complete):
-        """Every key of mapping is a component, and when complete every
-        component is a key."""
-        for key in mapping:
-            if key not in comps:
-                raise TableError(f"{path}: {where}: {key!r} is not one of "
-                                 f"the components {list(comps)}")
-        missing = [x for x in comps if x not in mapping]
+    def mapping(obj, key, where="", complete=True):
+        """obj[key]: an object whose keys are components, and that gives
+        every component when complete."""
+        value = need(obj, key, dict, where)
+        for x in value:
+            if x not in comps:
+                raise TableError(f"{path}: {where}{key}: {x!r} is not one "
+                                 f"of the components {list(comps)}")
+        missing = [x for x in comps if x not in value]
         if complete and missing:
-            raise TableError(f"{path}: {where}: no value for component "
+            raise TableError(f"{path}: {where}{key}: no value for component "
                              f"{missing[0]!r}")
+        return value
 
     rules = []
-    for i, r in enumerate(doc["rules"]):
-        where = f"rule {i} [{r['event']}/{r['case']}]"
-        check_keys(r["delta"], f"{where}: delta", complete=False)
-        delta = tuple(r["delta"].get(x, 0) for x in comps)
+    for i, r in enumerate(need(doc, "rules", list)):
+        if not isinstance(r, dict):
+            raise TableError(f"{path}: rule {i} must be an object")
+        at = f"rule {i}: "
+        where = f"rule {i} [{need(r, 'event', where=at)}/" \
+                f"{need(r, 'case', where=at)}]"
+        delta = mapping(r, "delta", f"{where}: ", complete=False)
+        text = need(r, "numerator", str, f"{where}: ")
         rules.append(TransitionRule(
-            event=r["event"], case=r["case"], delta=delta,
-            numerator=parse(r["numerator"], ("n",) + variables, where),
-            numerator_text=r["numerator"]))
-    obs = {name: parse(expr, variables, f"observable {name!r}")
-           for name, expr in doc["observables"].items()}
-    check_keys(doc["initial"], "initial", complete=True)
-    check_keys(doc["footprints"], "footprints", complete=True)
+            event=r["event"], case=r["case"],
+            delta=tuple(delta.get(x, 0) for x in comps),
+            numerator=parse(text, ("n",) + variables, where),
+            numerator_text=text))
+    observables = need(doc, "observables", dict)
+    obs = {name: parse(need(observables, name, str, "observables: "),
+                       variables, f"observable {name!r}")
+           for name in observables}
+    initial, footprints = mapping(doc, "initial"), mapping(doc, "footprints")
     try:
         return TransitionTable(
-            name=doc["name"], description=doc.get("description", ""),
-            components=comps, footprints=dict(doc["footprints"]),
-            initial=tuple(doc["initial"][x] for x in comps),
+            name=need(doc, "name"), description=doc.get("description", ""),
+            components=comps, footprints=dict(footprints),
+            initial=tuple(initial[x] for x in comps),
             rules=rules, observables=obs)
     except TableError as err:
         raise TableError(f"{path}: {err}") from None
@@ -378,11 +394,6 @@ def load_table(path) -> TransitionTable:
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-def _state_at(mask: np.ndarray, origin: np.ndarray) -> Tuple[int, ...]:
-    """The first state, in C order of the box, where mask holds."""
-    return tuple(int(x) for x in np.argwhere(mask)[0] + origin)
 
 
 def exact_laws(table: TransitionTable, n_max: int
@@ -405,8 +416,9 @@ def exact_distribution(table: TransitionTable, n_target: int
     grids, forms each change vector's numerator from its summed family
     coefficients, adds weights x numerator into the grown box at that
     vector's offset, then trims the edges that hold no mass.  The table's
-    proof makes the numerators >= 0 with sum n^2 at every feasible state;
-    every state reached is checked to be feasible.
+    proof makes the numerators >= 0 with sum n^2 at every feasible state
+    and every successor with a positive numerator feasible, so no state
+    is checked as it is reached.
     """
     for last in _propagate(table, n_target):
         pass
@@ -437,19 +449,14 @@ def _propagate(table: TransitionTable, n_max: int):
     offsets = deltas - lo
     fps = np.array([table.footprints[c] for c in table.components],
                    dtype=np.int64).reshape((k,) + (1,) * k)
-
-    def grids(origin, shape):
-        return np.indices(shape) + origin.reshape((k,) + (1,) * k)
-
     weights = np.ones((1,) * k, dtype=object)
     live = np.ones((1,) * k, dtype=bool)
     origin = np.array(table.initial, dtype=np.int64)
-    coords = grids(origin, live.shape)
-    load = (fps * coords).sum(axis=0)
     scale = 1
     yield weights, live, origin, scale
     for n in range(2, n_max):
-        xs = tuple(coords) + (n - load,)
+        coords = np.indices(live.shape) + origin.reshape(fps.shape)
+        xs = tuple(coords) + (n - (fps * coords).sum(axis=0),)
         values = {fam: family_value(fam, xs) for fam in table.families}
         new = np.zeros(tuple(live.shape + grow), dtype=object)
         reached = np.zeros(new.shape, dtype=bool)
@@ -469,14 +476,6 @@ def _propagate(table: TransitionTable, n_max: int):
         keep = tuple(slice(i.min(), i.max() + 1) for i in hit)
         weights, live = new[keep], reached[keep]
         origin = origin + lo + [s.start for s in keep]
-        coords = grids(origin, live.shape)
-        load = (fps * coords).sum(axis=0)
-        infeasible = live & ((coords < 0).any(axis=0) | (load > n + 1))
-        if infeasible.any():
-            raise TableError(
-                f"table {table.name}: infeasible state "
-                f"{_state_at(infeasible, origin)} at n={n + 1}; "
-                f"transcription suspect")
         yield weights, live, origin, scale
 
 

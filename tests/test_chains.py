@@ -1,7 +1,11 @@
+import itertools
 import json
+import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rtcnlab import chains, moments, montecarlo, networks, patterns, verify
@@ -91,7 +95,8 @@ def _check_family_forms(table, n_max):
     """The oracle for the load-time proof: at every feasible state of
     every n <= n_max, each rule's family form equals Python's eval of its
     text and is >= 0, each change vector's summed form equals its rules'
-    sum, and the rules sum to n^2."""
+    sum, the rules sum to n^2, and each change vector with a positive
+    summed numerator leads to a feasible state at n + 1."""
     fps = [table.footprints[c] for c in table.components]
     forms = [chains.family_form(rule.numerator, fps) for rule in table.rules]
     for n in range(2, n_max + 1):
@@ -109,6 +114,10 @@ def _check_family_forms(table, n_max):
                 assert sums[delta] == sum(c * chains.family_value(fam, xs)
                                           for fam, c in terms), (n, state)
             assert sum(sums.values()) == n * n, (n, state)
+            for delta, num in sums.items():
+                after = [x + d for x, d in zip(state, delta)]
+                assert not num or min(after) >= 0 and sum(
+                    f * x for f, x in zip(fps, after)) <= n + 1, (n, state, delta)
 
 
 def test_validate_all_tables():
@@ -194,6 +203,22 @@ def test_exact_int64_guard():
         chains.exact_distribution(table, 10 ** 8)
 
 
+def test_polynomials_are_canonical(tmp_path):
+    want = {(0, 0): 1, (0, 1): -6, (1, 1): 9, (0,): -1, (1,): 3}
+    assert chains._polynomial("(n - 3*a)*(n - 3*a - 1)") == want
+    assert chains._polynomial("n*n - 6*a*n + 9*a*a - n + 3*a") == want
+    assert chains._polynomial("a*(n - n) + 0*b - 0") == {}
+    doc = _trident_doc()
+    respelled = ["9*a*a - 6*a", "n*n - 6*a*n + 9*a*a - n + 3*a",
+                 "n + a*(6*n - 18*a + 3)"]
+    for rule, text in zip(doc["rules"], respelled):
+        rule["numerator"] = text
+    table, trident = _table_file(tmp_path, doc), chains.builtin_table("trident")
+    assert [r.numerator for r in table.rules] == \
+        [r.numerator for r in trident.rules]
+    assert table.groups == trident.groups
+
+
 def test_trident_family_form():
     t = chains.builtin_table("trident")
     forms = [chains.family_form(r.numerator, (3,)) for r in t.rules]
@@ -262,20 +287,62 @@ def test_exact_numerators_not_summing_to_n_squared(tmp_path):
         _table_file(tmp_path, doc)
 
 
-def _infeasible_doc():
-    # two free lineages make a trident that moves a by 2: the proof
-    # holds, but a = 2 needs 6 > 3 lineages at n = 3
+def test_load_rejects_infeasible_successor(tmp_path):
+    # two free lineages make a trident that moves a by 2: the numerators
+    # pass, but at a=0, D=2, where D(D-1) is first positive, the step
+    # leaves D = 2 + 1 - 3*2 free lineages
     doc = _trident_doc()
     doc["rules"][1]["delta"] = {"a": 2}
-    return doc
-
-
-def test_exact_infeasible_successor(tmp_path):
-    table = _table_file(tmp_path, _infeasible_doc())
     with pytest.raises(chains.TableError, match=(
-            r"^table trident: infeasible state \(2,\) at n=3; "
-            r"transcription suspect$")):
-        chains.exact_distribution(table, 5)
+            r"table\.json: rule 1 \[reticulation/two non-trident lineages\]: "
+            r"delta \(2,\) takes D to -3 from a=0, D=2, the least state where "
+            r"family D\(D-1\) is positive$")):
+        _table_file(tmp_path, doc)
+
+
+def _infeasible_step(states, values, deltas, fps):
+    """Whether some rule with a positive numerator (values, states x
+    rules) moves some state (rows of n, x...) to an infeasible one."""
+    after = states[:, None, 1:] + deltas[None]
+    free = states[:, :1] + 1 - after @ fps
+    return bool(((values > 0) & ((after < 0).any(axis=2) | (free < 0))).any())
+
+
+def test_change_vector_mutant_gate():
+    """Each change vector of each table moved by +-1 in one component:
+    load rejects the mutant exactly when a walk over every feasible state
+    at n <= 16 finds a rule that fires there and leaves the feasible
+    states.  Numerators are Python's eval of the texts, once per table."""
+    rejected = accepted = 0
+    for cid in chains.BUILTIN_IDS:
+        table = chains.builtin_table(cid)
+        fps = np.array([table.footprints[c] for c in table.components])
+        states = np.array([(n,) + s for n in range(2, 17)
+                           for s in _feasible_states(list(fps), n)])
+        codes = [compile(r.numerator_text, "", "eval") for r in table.rules]
+        values = np.array([[eval(code, {"__builtins__": {}},
+                                 dict(zip("abc", s[1:]), n=s[0]))
+                            for code in codes] for s in states.tolist()])
+        deltas = np.array([r.delta for r in table.rules])
+        assert not _infeasible_step(states, values, deltas, fps), cid
+        for delta, _ in table.groups:
+            for i, step in itertools.product(range(len(fps)), (-1, 1)):
+                moved = list(delta)
+                moved[i] += step
+                rules = [replace(r, delta=tuple(moved)) if r.delta == delta
+                         else r for r in table.rules]
+                walk = _infeasible_step(states, values,
+                                        np.array([r.delta for r in rules]), fps)
+                try:
+                    replace(table, rules=rules)
+                except chains.TableError as err:
+                    assert walk, (cid, delta, moved, str(err))
+                    assert "the least state where family" in str(err)
+                    rejected += 1
+                else:
+                    assert not walk, (cid, delta, moved)
+                    accepted += 1
+    assert rejected + accepted == 718 and rejected and accepted
 
 
 def test_load_table_rejects_values_that_are_not_integers(tmp_path):
@@ -301,6 +368,68 @@ def test_load_table_rejects_values_that_are_not_integers(tmp_path):
         with pytest.raises(chains.TableError,
                            match=rf"table\.json: {message}$"):
             _table_file(tmp_path, doc)
+
+
+def _set(*path_and_value):
+    """A mutation setting doc[path...] to value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        for p in path[:-1]:
+            doc = doc[p]
+        del doc[path[-1]]
+    return mutate
+
+
+_RULE_0 = "rule 0 [reticulation/inside one trident]: "
+
+
+_MALFORMED = [
+    (None, "the document must be an object"),
+    *[(_drop(key), f"no {key!r}") for key in
+      ("name", "components", "footprints", "initial", "rules", "observables")],
+    (_set("rules", {"0": {}}), "'rules' must be a list"),
+    (_set("rules", 1, "x"), "rule 1 must be an object"),
+    (_drop("rules", 0, "event"), "rule 0: no 'event'"),
+    (_drop("rules", 0, "case"), "rule 0: no 'case'"),
+    (_drop("rules", 0, "delta"), _RULE_0 + "no 'delta'"),
+    (_drop("rules", 0, "numerator"), _RULE_0 + "no 'numerator'"),
+    (_set("rules", 0, "delta", [-1]), _RULE_0 + "'delta' must be an object"),
+    (_set("initial", [0]), "'initial' must be an object"),
+    (_set("footprints", 3), "'footprints' must be an object"),
+    (_set("observables", ["a"]), "'observables' must be an object"),
+    (_set("rules", 0, "numerator", 5), _RULE_0 + "'numerator' must be a string"),
+    (_set("observables", "trident", ["a"]),
+     "observables: 'trident' must be a string"),
+    (_set("components", "ab"), "'components' must be a list"),
+    (_set("components", []), "'components' must be 1 to 3 distinct strings, "
+     "not []"),
+    (_set("components", ["a", "a"]), "'components' must be 1 to 3 distinct "
+     "strings, not ['a', 'a']"),
+    (_set("components", [1]), "'components' must be 1 to 3 distinct strings, "
+     "not [1]"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _MALFORMED,
+                         ids=[message for _, message in _MALFORMED])
+def test_load_table_rejects_malformed_documents(tmp_path, mutate, message):
+    doc = _trident_doc()
+    if mutate is None:
+        doc = [doc]
+    else:
+        mutate(doc)
+    with pytest.raises(chains.TableError,
+                       match=rf"table\.json: {re.escape(message)}$"):
+        _table_file(tmp_path, doc)
 
 
 def test_load_table_rejects_unknown_variable(tmp_path):

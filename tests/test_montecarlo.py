@@ -393,29 +393,6 @@ def test_kernel_int64_branch(monkeypatch):
         assert _kernel_rows(table, 40, 2, 41) == _reference_rows(doc, 40, 2, 41)
 
 
-def test_kernel_infeasible_successor(tmp_path):
-    # the twin of the exact engine's test: a change vector of +2 for a
-    # trident made of two free lineages passes the proof, and a = 2 at
-    # n = 3 is infeasible
-    doc = json.loads((chains._DATA_DIR / "trident.json").read_text())
-    doc["rules"][1]["delta"] = {"a": 2}
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(doc))
-    table = chains.load_table(path)
-    with pytest.raises(chains.TableError,
-                       match=r"^table trident: infeasible state at n=3$"):
-        mc._chain_block(table, 5, 0, 0, 8)
-
-
-def _eval_sop(sop, point):
-    total = 0
-    for prod, coef in sop.items():
-        for form in prod:
-            coef *= sum(k * x for k, x in zip(form, point + (1,)))
-        total += coef
-    return total
-
-
 _numerators = st.recursive(
     st.one_of(st.sampled_from("nabc"), st.integers(0, 12).map(str)),
     lambda inner: st.one_of(
@@ -465,32 +442,35 @@ class _Poly(dict):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(texts=st.lists(_numerators, min_size=1, max_size=3),
        fps=st.tuples(*[st.integers(1, 7)] * 3), data=st.data())
-def test_sum_of_products_rewrite_and_family_round_trip(texts, fps, data):
-    """The parsed form equals eval; the family form exists exactly when
-    the text, as a polynomial in (a, b, c, D) with n = D + fps . (a, b,
-    c), has only terms of degree 1 and 2, and then equals the parsed form
-    at arbitrary integer points."""
-    sops = [chains._sum_of_products(t) for t in texts]
+def test_polynomial_parse_and_family_round_trip(texts, fps, data):
+    """The parsed polynomial is eval's expansion, without its zero terms,
+    and equals eval at arbitrary integer points; the family form exists
+    exactly when the text, as a polynomial in (a, b, c, D) with n = D +
+    fps . (a, b, c), has only terms of degree 1 and 2, and then equals
+    the parsed polynomial at those points."""
+    polys = [chains._polynomial(t) for t in texts]
     points = [tuple(data.draw(st.integers(-50, 50)) for _ in range(4))
               for _ in range(5)]
-    for point in points:
-        for text, sop in zip(texts, sops):
-            want = _eval_text(text, point[0], point[1:])
-            assert _eval_sop(sop, point) == want
-            assert chains.evaluate(sop, point) == want
     xs = [_Poly({(i,): 1}) for i in range(4)]
+    for text, poly in zip(texts, polys):
+        expanded = _Poly.of(eval(text, {"__builtins__": {}},
+                                 dict(zip("nabc", xs))))
+        assert poly == {mono: c for mono, c in expanded.items() if c}
+        for point in points:
+            assert chains.evaluate(poly, point) == \
+                _eval_text(text, point[0], point[1:])
     variables = dict(zip("abc", xs), n=xs[3] + sum(f * x for f, x in zip(fps, xs)))
-    for text, sop in zip(texts, sops):
-        poly = _Poly.of(eval(text, {"__builtins__": {}}, variables))
-        degrees = {len(mono) for mono, c in poly.items() if c}
+    for text, poly in zip(texts, polys):
+        expanded = _Poly.of(eval(text, {"__builtins__": {}}, variables))
+        degrees = {len(mono) for mono, c in expanded.items() if c}
         if not degrees <= {1, 2}:
             with pytest.raises(chains.TableError, match="lineage-pair family"):
-                chains.family_form(sop, fps)
+                chains.family_form(poly, fps)
             continue
-        form = chains.family_form(sop, fps)
+        form = chains.family_form(poly, fps)
         assert all(0 <= i <= 3 for fam in form for i in fam)
         for point in points:
             free = point[0] - sum(f * x for f, x in zip(fps, point[1:]))
             got = sum(c * chains.family_value(fam, point[1:] + (free,))
                       for fam, c in form.items())
-            assert got == chains.evaluate(sop, point)
+            assert got == chains.evaluate(poly, point)
