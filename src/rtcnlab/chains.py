@@ -69,7 +69,7 @@ def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def _poly(node, names) -> Polynomial:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
         return {(): node.value} if node.value else {}
     if isinstance(node, ast.Name):
         if node.id not in names:
@@ -205,14 +205,15 @@ class TransitionTable:
     summed family coefficients (family, coefficient), in the order of
     families; the engines read only these.
 
-    Each change vector d is proved feasible too.  A family is positive
-    exactly at and above its least positive state r (x = 2 for x(x-1),
-    1 for each variable of x*y and for x), and each successor coordinate,
-    x + d and D + 1 - footprints . d, grows with its own.  So if r's
-    successor is feasible for every family of d's group, every step by d
-    lands on a feasible state; and each coordinate takes its least value
-    at a feasible state of some n >= 2, so the proof is exact.  Neither
-    engine checks the states it reaches."""
+    start is the initial lineage vector (x..., D) at n = 2, and steps[g]
+    the change d + (1 - footprints . d,) that group g's vector d makes
+    to it.  Each d is proved feasible too.  A family is positive exactly
+    at and above its least positive state r (x = 2 for x(x-1), 1 for
+    each variable of x*y and for x), and each coordinate of r + steps[g]
+    grows with its own.  So if r + steps[g] is feasible for every family
+    of g, every step by d lands on a feasible state; and each coordinate
+    takes its least value at a feasible state of some n >= 2, so the
+    proof is exact.  Neither engine checks the states it reaches."""
 
     name: str
     description: str
@@ -224,6 +225,8 @@ class TransitionTable:
     families: Tuple[Family, ...] = field(init=False)
     groups: List[Tuple[Tuple[int, ...], Tuple[Tuple[Family, int], ...]]] = \
         field(init=False)
+    start: Tuple[int, ...] = field(init=False)
+    steps: List[Tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         k = len(self.components)
@@ -240,8 +243,9 @@ class TransitionTable:
 
         integers("footprints", fps, least=1)
         integers("initial", self.initial)
-        if min(self.initial) < 0 or sum(
-                f * x for f, x in zip(fps, self.initial)) > 2:
+        self.start = self.initial + (
+            2 - sum(f * x for f, x in zip(fps, self.initial)),)
+        if min(self.start) < 0:
             raise TableError(f"initial: state {self.initial} is infeasible "
                              f"at n=2")
         cells = _cells(fps)
@@ -272,13 +276,13 @@ class TransitionTable:
         self.groups = [(delta, tuple((fam, group[fam]) for fam in cells
                                      if group.get(fam)))
                        for delta, group in groups.items()]
+        self.steps = [delta + (1 - sum(f * d for f, d in zip(fps, delta)),)
+                      for delta, _ in self.groups]
         names = _variables(k)
-        for delta, terms in self.groups:
+        for (delta, terms), step in zip(self.groups, self.steps):
             for fam, _ in terms:
                 least = [fam.count(v) for v in range(k + 1)]
-                after = [x + d for x, d in zip(least, delta)]
-                after.append(least[k] + 1 - sum(
-                    f * d for f, d in zip(fps, delta)))
+                after = [x + d for x, d in zip(least, step)]
                 for name, x in zip(names, after):
                     if x < 0:
                         at = ", ".join(f"{v}={y}" for v, y in zip(names, least))
@@ -286,10 +290,6 @@ class TransitionTable:
                             f"{first[delta]}: delta {delta} takes {name} to "
                             f"{x} from {at}, the least state where family "
                             f"{family_name(fam, k)} is positive")
-
-    def observe(self, state: Sequence[int]) -> Dict[str, int]:
-        return {name: evaluate(poly, (0, *state))
-                for name, poly in self.observables.items()}
 
 
 _table_cache: Dict[str, TransitionTable] = {}
@@ -490,11 +490,10 @@ def observe_law(table: TransitionTable, law: Dict[Tuple[int, ...], Fraction]
                 ) -> Dict[Tuple[int, ...], Fraction]:
     """The law of the observable pattern counts under a law of the
     tracked count vector."""
-    names = list(table.observables)
+    polys = table.observables.values()
     out: Dict[Tuple[int, ...], Fraction] = {}
     for state, p in law.items():
-        obs = table.observe(state)
-        key = tuple(obs[name] for name in names)
+        key = tuple(evaluate(poly, (0, *state)) for poly in polys)
         out[key] = out.get(key, Fraction(0)) + p
     return out
 

@@ -187,11 +187,11 @@ def cmd_classify(args) -> int:
     else:
         try:
             spec = patterns.load_pattern_file(args.pattern_file)
-        except KeyError as exc:
-            sys.stderr.write(f"cannot load pattern {args.pattern_file}: "
-                             f"missing key {exc}\n")
+        except patterns.PatternError as exc:
+            # its text begins with the file's name
+            sys.stderr.write(f"cannot load pattern {exc}\n")
             return EXIT_INVALID_INPUT
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"cannot load pattern {args.pattern_file}: {exc}\n")
             return EXIT_INVALID_INPUT
     try:

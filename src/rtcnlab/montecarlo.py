@@ -223,8 +223,8 @@ class FitReport:
 
 def _kernel_dtype(n_target: int):
     """int32 when every value a run to n_target forms fits in it: at a
-    feasible state of step n each one lies in [-1, n^2], and the table's
-    load-time proof keeps every state a run reaches feasible."""
+    feasible lineage vector (x..., D) of step n each one lies in [-1,
+    n^2], and the table's load-time proof keeps every vector feasible."""
     return np.int32 if (n_target - 1) ** 2 < 2 ** 31 else np.int64
 
 
@@ -233,29 +233,28 @@ def _chain_block(table: chains.TransitionTable, n_target: int, seed: int,
     """The observables of replications lo..hi-1 of the table's chain at
     n_target leaves, one row per replication (lo and hi multiples of 4).
 
-    A step fills the families the groups read (table.families, at the
-    free count D = n - footprints . state) on the whole block and adds the
+    xs holds the lineage vectors (x..., D), from table.start.  A step
+    fills the families the groups read on the whole block and adds the
     groups' numerators, in order, into one running sum cum; a replication
-    with draw v takes the group numbered #{g : cum_g <= v}.  The table's
-    proof makes the numerators >= 0 with sum n^2 > v, so the last group is
-    never evaluated, and the group taken has a positive numerator, so the
-    proof also makes the new state feasible; no state is checked."""
+    with draw v takes the group g numbered #{g : cum_g <= v} and adds
+    table.steps[g] to its vector.  The table's proof makes the numerators
+    >= 0 with sum n^2 > v, so the last group is never evaluated, and the
+    group taken has a positive numerator, so the proof also makes the new
+    vector feasible; no state is checked."""
     m = hi - lo
     k = len(table.components)
     dt = _kernel_dtype(n_target)
-    fps = [table.footprints[c] for c in table.components]
     counted = table.groups[:-1]
     used = {fam for _, terms in counted for fam, _ in terms}
-    state = np.empty((k, m), dtype=dt)
-    state[:] = np.array(table.initial, dtype=dt)[:, None]
-    deltas = np.array([d for d, _ in table.groups], dtype=dt).T
-    load, free, cum, tmp, v = (np.empty(m, dt) for _ in range(5))
-    xs = list(state) + [free]
+    xs = np.empty((k + 1, m), dtype=dt)
+    xs[:] = np.array(table.start, dtype=dt)[:, None]
+    steps = np.array(table.steps, dtype=dt).T
+    cum, tmp, v = (np.empty(m, dt) for _ in range(3))
     values = {fam: xs[fam[0]] if len(fam) == 1 else np.empty(m, dt)
               for fam in table.families if fam in used}
     mask = np.empty(m, dtype=bool)
     cnt = np.empty(m, dtype=np.uint8 if len(table.groups) <= 256 else np.intp)
-    _combine(state, fps, load, tmp)
+    idx = np.empty(m, dtype=np.intp)
     for n in range(2, n_target):
         nn = n * n
         raw = raw_block(seed, n, lo, hi)
@@ -263,7 +262,6 @@ def _chain_block(table: chains.TransitionTable, n_target: int, seed: int,
         q *= nn
         raw -= q
         v[:] = raw
-        np.subtract(n, load, out=free)
         for fam, out in values.items():
             if len(fam) == 1:
                 continue
@@ -284,38 +282,16 @@ def _chain_block(table: chains.TransitionTable, n_target: int, seed: int,
                     np.add(cum, tmp, out=cum)
             np.less_equal(cum, v, out=mask)
             np.add(cnt, mask.view(np.uint8), out=cnt)
-        for row, d in zip(state, deltas):
-            # cnt < len(deltas) by construction: clipping changes nothing
-            np.take(d, cnt, out=tmp, mode="clip")
+        idx[:] = cnt
+        for row, d in zip(xs, steps):
+            # cnt < len(steps) by construction: clipping changes nothing
+            np.take(d, idx, out=tmp, mode="clip")
             np.add(row, tmp, out=row)
-        _combine(state, fps, load, tmp)
     obs = np.empty((len(table.observables), m), dtype=np.int64)
-    point = (0,) + tuple(state.astype(np.int64))
+    point = (0,) + tuple(xs[:k].astype(np.int64))
     for i, poly in enumerate(table.observables.values()):
         obs[i] = chains.evaluate(poly, point)
     return obs.T
-
-
-def _combine(rows: np.ndarray, coefs, out: np.ndarray,
-             tmp: np.ndarray) -> np.ndarray:
-    """out = sum(coef * row) over the rows; tmp is scratch."""
-    first = True
-    for row, w in zip(rows, coefs):
-        if not w:
-            continue
-        if first:
-            np.multiply(row, w, out=out)
-            first = False
-        elif w == 1:
-            np.add(out, row, out=out)
-        elif w == -1:
-            np.subtract(out, row, out=out)
-        else:
-            np.multiply(row, w, out=tmp)
-            np.add(out, tmp, out=out)
-    if first:
-        out.fill(0)
-    return out
 
 
 def _merge_counts(target: Dict[Tuple[int, ...], int], rows: np.ndarray) -> None:

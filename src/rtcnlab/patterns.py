@@ -544,38 +544,62 @@ _catalog_cache: Optional[Dict[str, PatternSpec]] = None
 _canonical_to_id: Optional[Dict[str, str]] = None
 
 
-def spec_from_dict(d: dict) -> PatternSpec:
+def spec_from_dict(d) -> PatternSpec:
+    """A pattern from its document (see load_pattern_file); a document of
+    another shape is a PatternError naming the key."""
+
+    def need(obj, key, where="", integer=False):
+        if key not in obj:
+            raise PatternError(f"{where}missing key {key!r}")
+        if integer and type(obj[key]) is not int:
+            raise PatternError(f"{where}{key!r} must be an integer, "
+                               f"not {obj[key]!r}")
+        return obj[key]
+
+    if not isinstance(d, dict):
+        raise PatternError("the document must be an object")
+    k = need(d, "initial_lineages", integer=True)
+    docs = need(d, "events")
+    if not isinstance(docs, list) or not all(isinstance(e, dict) for e in docs):
+        raise PatternError("'events' must be a list of objects")
     events: List[Event] = []
-    for ev in d["events"]:
-        if ev["type"] == "branch":
-            events.append(Branching(ev["a"]))
-        elif ev["type"] == "retic":
-            events.append(Reticulation(ev["a"], ev["b"]))
+    for i, ev in enumerate(docs):
+        where = f"event {i}: "
+        kind = need(ev, "type", where)
+        if kind == "branch":
+            events.append(Branching(need(ev, "a", where, integer=True)))
+        elif kind == "retic":
+            events.append(Reticulation(need(ev, "a", where, integer=True),
+                                       need(ev, "b", where, integer=True)))
         else:
-            raise PatternError(f"unknown event type {ev['type']!r}")
-    return PatternSpec(d["initial_lineages"], tuple(events))
+            raise PatternError(f"{where}'type' is {kind!r}, not 'branch' "
+                               f"or 'retic'")
+    return PatternSpec(k, tuple(events))
 
 
 def load_pattern_file(path) -> PatternSpec:
+    """A validated pattern from its JSON document, {"initial_lineages": k,
+    "events": [{"type": "branch", "a": i} | {"type": "retic", "a": i,
+    "b": j}, ...]} with int k, i and j; a malformed or invalid pattern is
+    a PatternError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        p = spec_from_dict(json.load(fh))
-    p.validate()
+        doc = json.load(fh)
+    try:
+        p = spec_from_dict(doc)
+        p.validate()
+    except PatternError as err:
+        raise PatternError(f"{path}: {err}") from None
     return p
 
 
 def catalog() -> Dict[str, PatternSpec]:
     """The shipped patterns: height 1 (cherry, trident), the nine height-2
-    shapes, and the height-3 overlap shapes."""
+    shapes, and the height-3 overlap shapes, each under its file's name
+    with "-" for "_" (its document's id)."""
     global _catalog_cache
     if _catalog_cache is None:
-        entries = {}
-        for path in sorted(_DATA_DIR.glob("*.json")):
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-            spec = spec_from_dict(d)
-            spec.validate()
-            entries[d["id"]] = spec
-        _catalog_cache = entries
+        _catalog_cache = {path.stem.replace("_", "-"): load_pattern_file(path)
+                          for path in sorted(_DATA_DIR.glob("*.json"))}
     return dict(_catalog_cache)
 
 

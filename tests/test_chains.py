@@ -96,7 +96,8 @@ def _check_family_forms(table, n_max):
     every n <= n_max, each rule's family form equals Python's eval of its
     text and is >= 0, each change vector's summed form equals its rules'
     sum, the rules sum to n^2, and each change vector with a positive
-    summed numerator leads to a feasible state at n + 1."""
+    summed numerator leads to a feasible state at n + 1, whose lineage
+    vector its step gives."""
     fps = [table.footprints[c] for c in table.components]
     forms = [chains.family_form(rule.numerator, fps) for rule in table.rules]
     for n in range(2, n_max + 1):
@@ -114,10 +115,14 @@ def _check_family_forms(table, n_max):
                 assert sums[delta] == sum(c * chains.family_value(fam, xs)
                                           for fam, c in terms), (n, state)
             assert sum(sums.values()) == n * n, (n, state)
-            for delta, num in sums.items():
+            for (delta, num), step in zip(sums.items(), table.steps):
                 after = [x + d for x, d in zip(state, delta)]
                 assert not num or min(after) >= 0 and sum(
                     f * x for f, x in zip(fps, after)) <= n + 1, (n, state, delta)
+                if num:
+                    # the lineage vector at n + 1
+                    assert [x + s for x, s in zip(xs, step)] == after + [
+                        n + 1 - sum(f * x for f, x in zip(fps, after))]
 
 
 def test_validate_all_tables():
@@ -230,6 +235,8 @@ def test_trident_family_form():
     assert t.groups == [((-1,), (((0, 0), 9), ((0,), 3))),
                         ((1,), (((1, 1), 1),)),
                         ((0,), (((0, 1), 6), ((0,), 6), ((1,), 1)))]
+    assert t.start == (0, 2)
+    assert t.steps == [(-1, 4), (1, -2), (0, 1)]
 
 
 def test_exact_distribution_matches_reference_walk():
@@ -468,6 +475,11 @@ def test_load_table_rejects_unsupported_syntax(tmp_path):
         _table_file(tmp_path, doc)
     doc["rules"][2]["numerator"] = "n*n -"
     with pytest.raises(chains.TableError, match=r"rule 2 .*: not an expression: 'n\*n -'$"):
+        _table_file(tmp_path, doc)
+    # bools are not integers, though Python reads True as 1
+    doc["rules"][2]["numerator"] = "True*a + False"
+    with pytest.raises(chains.TableError, match=(
+            r"rule 2 .*: unsupported syntax 'True': 'True\*a \+ False'$")):
         _table_file(tmp_path, doc)
 
 

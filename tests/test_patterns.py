@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import itertools
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,12 @@ EXPECTED_FOOTPRINTS = {
 def test_catalog_footprints():
     assert {pid: spec.footprint() for pid, spec in CAT.items()} == \
         EXPECTED_FOOTPRINTS
+
+
+def test_catalog_ids_are_the_documents_ids():
+    for path in (Path(pt.__file__).parent / "data" / "patterns").glob("*.json"):
+        pid = json.loads(path.read_text())["id"]
+        assert CAT[pid] == pt.load_pattern_file(path), path
 
 
 def test_catalog_basic_shapes():
@@ -258,6 +266,44 @@ def test_decompose_h3_shapes():
 def test_pattern_file_round_trip():
     path = Path(pt.__file__).parent / "data" / "patterns" / "c_ii.json"
     assert pt.load_pattern_file(path) == CAT["c-ii"]
+
+
+def _mutated(edit):
+    """The cherry's pattern document, changed in place by edit."""
+    path = Path(pt.__file__).parent / "data" / "patterns" / "cherry.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "the document must be an object"),
+    (_mutated(lambda d: d.pop("initial_lineages")),
+     "missing key 'initial_lineages'"),
+    (_mutated(lambda d: d.pop("events")), "missing key 'events'"),
+    (_mutated(lambda d: d.update(initial_lineages=True)),
+     "'initial_lineages' must be an integer, not True"),
+    (_mutated(lambda d: d.update(initial_lineages=1.5)),
+     "'initial_lineages' must be an integer, not 1.5"),
+    (_mutated(lambda d: d["events"][0].update(a=False)),
+     "event 0: 'a' must be an integer, not False"),
+    (_mutated(lambda d: d["events"][0].pop("a")), "event 0: missing key 'a'"),
+    (_mutated(lambda d: d["events"].append({"type": "retic", "a": 0,
+                                            "b": "1"})),
+     "event 1: 'b' must be an integer, not '1'"),
+    (_mutated(lambda d: d.update(events=d["events"][0])),
+     "'events' must be a list of objects"),
+    (_mutated(lambda d: d.update(events=[[0]])),
+     "'events' must be a list of objects"),
+    (_mutated(lambda d: d["events"][0].update(type="fork")),
+     "event 0: 'type' is 'fork', not 'branch' or 'retic'"),
+])
+def test_load_pattern_file_names_the_bad_key(tmp_path, doc, message):
+    path = tmp_path / "pat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(pt.PatternError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        pt.load_pattern_file(path)
 
 
 def _random_pattern(rng, height, disjoint_lead):
