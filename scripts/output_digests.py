@@ -11,7 +11,8 @@ The outputs are:
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
 - the forward source's histogram at n = 24 with every catalog id;
 - the coupling (n_max 6), theorem2b and prop3 reports at n = 300,
-  20,000 replications, seed 4, without their elapsed_s.
+  20,000 replications, seed 4, the conjecture report and the matcher
+  report (60 trials, n_max 16, seed 4), all without their elapsed_s.
 
 Run it with each checkout's src on PYTHONPATH and diff the two outputs.
 """
@@ -29,7 +30,9 @@ CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
 FORWARD_RUN = (24, 2000, 3)
 SUITE_OPTS = {"coupling": {"n_max": 6},
               "theorem2b": {"n": 300, "reps": 20_000, "seed": 4},
-              "prop3": {"n": 300, "reps": 20_000, "seed": 4}}
+              "prop3": {"n": 300, "reps": 20_000, "seed": 4},
+              "conjecture": {},
+              "matcher": {"trials": 60, "n_max": 16, "seed": 4}}
 
 
 def _line(name: str, text) -> None:

@@ -194,11 +194,7 @@ def cmd_classify(args) -> int:
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"cannot load pattern {args.pattern_file}: {exc}\n")
             return EXIT_INVALID_INPUT
-    try:
-        result = conjecture.classify(spec, args.base_mode)
-    except patterns.PatternError as exc:
-        sys.stderr.write(f"invalid pattern: {exc}\n")
-        return EXIT_INVALID_INPUT
+    result = conjecture.classify(spec, args.base_mode)
     payload = _json_dump({
         "label": result.label.value,
         "conjectural": result.conjectural,

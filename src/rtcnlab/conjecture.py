@@ -19,9 +19,10 @@ silently picking one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import patterns
 from .patterns import PatternSpec
@@ -57,8 +58,6 @@ KNOWN_LABELS: Dict[str, ClassLabel] = {
 
 BASE_MODES = ("trivial-normal", "height1")
 
-_H1_CANON: Dict[str, ClassLabel] = {}
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -81,36 +80,45 @@ def _combine(parts) -> ClassLabel:
     return ClassLabel.DEGENERATE
 
 
+@functools.lru_cache(maxsize=None)
 def _height1_canon() -> Dict[str, ClassLabel]:
-    if not _H1_CANON:
-        cat = patterns.catalog()
-        _H1_CANON[patterns.canonicalize(cat["cherry"]).text] = ClassLabel.POISSON
-        _H1_CANON[patterns.canonicalize(cat["trident"]).text] = ClassLabel.NORMAL
-    return _H1_CANON
+    cat = patterns.catalog()
+    return {patterns.canonicalize(cat["cherry"]): ClassLabel.POISSON,
+            patterns.canonicalize(cat["trident"]): ClassLabel.NORMAL}
+
+
+def _base_label(p: PatternSpec, mode: str,
+                key: Optional[str] = None) -> Optional[ClassLabel]:
+    """p's pinned label if p is a base case, else None (key: p's text)."""
+    if p.height == 0:
+        # forced in either mode: a bare lineage must act as a normal part
+        # for the published height-2 labels to come out right
+        return ClassLabel.NORMAL
+    if mode == "height1" and p.height == 1:
+        return _height1_canon().get(key or patterns.canonicalize(p))
+    return None
+
+
+def _peel(p: PatternSpec, mode: str,
+          cache: Dict[str, ClassLabel]) -> Tuple[Tuple[int, ClassLabel], ...]:
+    """Each maximal event of p with the label its remainders combine to."""
+    return tuple((e, _combine([_classify_canonical(q, mode, cache)
+                               for q in patterns.remove_event(p, e)]))
+                 for e in patterns.maximal_events(p))
 
 
 def _classify_canonical(p: PatternSpec, mode: str,
                         cache: Dict[str, ClassLabel]) -> ClassLabel:
-    key = patterns.canonicalize(p).text
-    if key in cache:
-        return cache[key]
-    if p.height == 0:
-        # forced in either mode: a bare lineage must act as a normal part
-        # for the published height-2 labels to come out right
-        label = ClassLabel.NORMAL
-    elif mode == "height1" and key in _height1_canon():
-        label = _height1_canon()[key]
-    else:
-        labels = set()
-        for e in patterns.maximal_events(p):
-            parts = [_classify_canonical(q, mode, cache)
-                     for q in patterns.remove_event(p, e)]
-            labels.add(_combine(parts))
-        if len(labels) != 1:
-            raise InconsistentClassification(p, labels)
-        label = labels.pop()
-    cache[key] = label
-    return label
+    key = patterns.canonicalize(p)
+    if key not in cache:
+        label = _base_label(p, mode, key)
+        if label is None:
+            labels = {lab for _, lab in _peel(p, mode, cache)}
+            if len(labels) != 1:
+                raise InconsistentClassification(p, labels)
+            label = labels.pop()
+        cache[key] = label
+    return cache[key]
 
 
 class InconsistentClassification(RuntimeError):
@@ -125,24 +133,16 @@ def classify(p: PatternSpec, base_mode: str = "trivial-normal") -> Classificatio
     """Classify a pattern, trying every maximal event at the top level."""
     if base_mode not in BASE_MODES:
         raise ValueError(f"unknown base mode {base_mode!r}")
-    p.validate()
-    cache: Dict[str, ClassLabel] = {}
-    pid = patterns.resolve(p)[0]
-    conjectural = pid not in KNOWN_LABELS
-    if p.height == 0 or (base_mode == "height1"
-                         and patterns.canonicalize(p).text in _height1_canon()):
-        label = _classify_canonical(p, base_mode, cache)
+    conjectural = patterns.resolve(p)[0] not in KNOWN_LABELS
+    label = _base_label(p, base_mode)
+    if label is not None:
         return Classification(label, conjectural, True, ((-1, label),))
-    by_choice = []
-    for e in patterns.maximal_events(p):
-        parts = [_classify_canonical(q, base_mode, cache)
-                 for q in patterns.remove_event(p, e)]
-        by_choice.append((e, _combine(parts)))
+    by_choice = _peel(p, base_mode, {})
     labels = {lab for _, lab in by_choice}
     consistent = len(labels) == 1
     label = max(labels, key=lambda l: l.frequency_order) if not consistent \
         else labels.pop()
-    return Classification(label, conjectural, consistent, tuple(by_choice))
+    return Classification(label, conjectural, consistent, by_choice)
 
 
 def classify_catalog(base_mode: str = "trivial-normal") -> Dict[str, ClassLabel]:

@@ -222,7 +222,10 @@ def _sigma_entry(x) -> Fraction:
 
 def load_sigma(path=None) -> CovarianceMatrix:
     with open(path or _SIGMA_PATH, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("covariance file is nested too deeply") from None
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     if not (isinstance(matrix, list) and len(matrix) == 3 and all(
             isinstance(row, list) and len(row) == 3 for row in matrix)):

@@ -22,7 +22,7 @@ import dataclasses
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,36 +49,38 @@ class PatternError(ValueError):
 @dataclass(frozen=True)
 class PatternSpec:
     """k initial lineages plus an event sequence (same slot semantics as
-    the forward construction, acting on the pattern's own lineage list)."""
+    the forward construction, acting on the pattern's own lineage list).
+
+    Checked at construction, which keeps the built incidence as
+    structure: at least one initial lineage and at most height + 1 (the
+    E events of a connected pattern consume at most 2E lineages), every
+    event in range, and one connected component; a PatternError
+    otherwise."""
 
     initial_lineages: int
     events: Tuple[Event, ...]
+    structure: EventStructure = field(init=False, compare=False, repr=False)
 
-    @property
-    def height(self) -> int:
-        return len(self.events)
-
-    def structure(self) -> EventStructure:
-        s = EventStructure(initial_count=self.initial_lineages)
-        for ev in self.events:
-            s.apply(ev)
-        return s
-
-    def footprint(self) -> int:
-        return len(self.structure().final_lineages())
-
-    def validate(self) -> None:
-        if self.initial_lineages < 1:
+    def __post_init__(self):
+        k, E = self.initial_lineages, len(self.events)
+        if k < 1:
             raise PatternError("need at least one initial lineage")
+        if k > E + 1:
+            raise PatternError(f"{k} initial lineages exceed height + 1 = "
+                               f"{E + 1}, so the pattern is disconnected")
+        s = EventStructure(initial_count=k)
         try:
-            s = self.structure()
+            for ev in self.events:
+                s.apply(ev)
         except EventLogError as exc:
             raise PatternError(str(exc)) from None
         if not _is_connected(s):
             raise PatternError("pattern is disconnected")
+        object.__setattr__(self, "structure", s)
 
-
-TRIVIAL = PatternSpec(1, ())
+    @property
+    def height(self) -> int:
+        return len(self.events)
 
 
 def _components(n_vertices: int, edges) -> List[int]:
@@ -106,27 +108,29 @@ def _is_connected(s: EventStructure) -> bool:
     return len(set(_components(E + s.initial_count, edges))) == 1
 
 
+TRIVIAL = PatternSpec(1, ())
+
+
 # -- canonical form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalPattern:
-    text: str
-    automorphisms: int
-
-
 def _valid_orders(s: EventStructure):
-    """Topological orders of the event DAG (producer before consumer)."""
-    E = s.n_events
-    preds = [set() for _ in range(E)]
-    for e in range(E):
-        for l in s.consumed[e]:
-            if s.prod_ev[l] != -1:
-                preds[e].add(s.prod_ev[l])
-    for perm in itertools.permutations(range(E)):
-        pos = {e: i for i, e in enumerate(perm)}
-        if all(pos[p] < pos[e] for e in range(E) for p in preds[e]):
-            yield perm
+    """Topological orders of the event DAG (producer before consumer),
+    depth first."""
+    preds = [{s.prod_ev[l] for l in s.consumed[e]} - {-1}
+             for e in range(s.n_events)]
+    order: List[int] = []
+
+    def extend():
+        if len(order) == s.n_events:
+            yield tuple(order)
+        for e in range(s.n_events):
+            if e not in order and preds[e].issubset(order):
+                order.append(e)
+                yield from extend()
+                order.pop()
+
+    return extend()
 
 
 def _serialize_under(s: EventStructure, order, swaps) -> str:
@@ -155,22 +159,13 @@ def _serialize_under(s: EventStructure, order, swaps) -> str:
     return "|".join(parts)
 
 
-def canonicalize(p: PatternSpec) -> CanonicalPattern:
+def canonicalize(p: PatternSpec) -> str:
     """Canonical string invariant under event re-ranking, branching child
     swaps, reticulation side swaps and initial-lineage renumbering."""
-    p.validate()
-    s = p.structure()
-    E = s.n_events
-    if E == 0:
-        return CanonicalPattern("k=1", 1)
-    best = None
-    for order in _valid_orders(s):
-        for swaps in itertools.product((0, 1), repeat=E):
-            text = _serialize_under(s, order, swaps)
-            if best is None or text < best:
-                best = text
-    aut = _count_embeddings(s, s)
-    return CanonicalPattern(best, aut)
+    s = p.structure
+    return min(_serialize_under(s, order, swaps)
+               for order in _valid_orders(s)
+               for swaps in itertools.product((0, 1), repeat=s.n_events))
 
 
 # -- generic matcher -------------------------------------------------------
@@ -198,8 +193,6 @@ def _match_plan(s: EventStructure):
                     order.append(f)
                     nxt.append(f)
         frontier = nxt
-    if len(order) != E:
-        raise PatternError("pattern events are not connected")
     return order
 
 
@@ -295,8 +288,7 @@ def _count_embeddings(pat: EventStructure, net: EventStructure) -> int:
 def count_occurrences_generic(network: Union[Network, EventStructure],
                               p: PatternSpec) -> int:
     net = network.structure if isinstance(network, Network) else network
-    p.validate()
-    pat = p.structure()
+    pat = p.structure
     return _divide(_count_embeddings(pat, net), _count_embeddings(pat, pat))
 
 
@@ -330,10 +322,9 @@ def _alignment_slots(pat: EventStructure, pe: int, swap: int) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _brute_plan(p: PatternSpec) -> _BrutePlan:
-    """The validated plan of a pattern of height >= 1, with its
-    automorphism count from the same enumeration, pattern into itself."""
-    p.validate()
-    pat = p.structure()
+    """The plan of a pattern of height >= 1, with its automorphism count
+    from the same enumeration, pattern into itself."""
+    pat = p.structure
     bound = set()
     slots = []
     for pe in range(pat.n_events):
@@ -429,7 +420,6 @@ def count_occurrences_bruteforce(network: Union[Network, EventStructure],
     if len(net.final_lineages()) > BRUTE_MAX_LEAVES:
         raise PatternError(f"brute force guard: <= {BRUTE_MAX_LEAVES} leaves")
     if p.height == 0:
-        p.validate()
         return len(net.final_lineages())
     plan = _brute_plan(p)
     return _divide(_embeddings(plan, net), plan.automorphisms)
@@ -578,18 +568,20 @@ def spec_from_dict(d) -> PatternSpec:
 
 
 def load_pattern_file(path) -> PatternSpec:
-    """A validated pattern from its JSON document, {"initial_lineages": k,
+    """A pattern from its JSON document, {"initial_lineages": k,
     "events": [{"type": "branch", "a": i} | {"type": "retic", "a": i,
-    "b": j}, ...]} with int k, i and j; a malformed or invalid pattern is
-    a PatternError naming the file."""
+    "b": j}, ...]} with int k, i and j; a malformed or invalid pattern, or
+    one nested too deeply to parse, is a PatternError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise PatternError(f"{path}: the document is nested too "
+                               f"deeply") from None
     try:
-        p = spec_from_dict(doc)
-        p.validate()
+        return spec_from_dict(doc)
     except PatternError as err:
         raise PatternError(f"{path}: {err}") from None
-    return p
 
 
 def catalog() -> Dict[str, PatternSpec]:
@@ -606,7 +598,7 @@ def catalog() -> Dict[str, PatternSpec]:
 def _canonical_index() -> Dict[str, str]:
     global _canonical_to_id
     if _canonical_to_id is None:
-        _canonical_to_id = {canonicalize(spec).text: pid
+        _canonical_to_id = {canonicalize(spec): pid
                             for pid, spec in catalog().items()}
     return _canonical_to_id
 
@@ -618,7 +610,7 @@ def resolve(p: Union[str, PatternSpec]) -> Tuple[Optional[str], PatternSpec]:
         if p not in cat:
             raise KeyError(f"unknown pattern id {p!r}")
         return p, cat[p]
-    pid = _canonical_index().get(canonicalize(p).text)
+    pid = _canonical_index().get(canonicalize(p))
     return pid, p
 
 
@@ -649,7 +641,7 @@ def count_catalog(network: Network,
 
 
 def maximal_events(p: PatternSpec) -> List[int]:
-    s = p.structure()
+    s = p.structure
     return [e for e in range(s.n_events)
             if all(s.consumer[l] == -1 for l in s.produced[e])]
 
@@ -657,7 +649,7 @@ def maximal_events(p: PatternSpec) -> List[int]:
 def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
     """Remove a maximal event; return the connected remainders (one or
     two), with bare lineages returned as the trivial pattern."""
-    s = p.structure()
+    s = p.structure
     if event_index not in maximal_events(p):
         raise PatternError("only maximal events can be removed")
     keep = [e for e in range(s.n_events) if e != event_index]
@@ -668,11 +660,10 @@ def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
 
     def vertex(l):
         pe = s.prod_ev[l]
-        return ids[("e", pe)] if pe != -1 else ids.get(("l", l))
+        return ids[("e", pe)] if pe != -1 else ids[("l", l)]
 
     roots = _components(len(ids), [
-        (vertex(l), ids[("e", e)]) for e in keep for l in s.consumed[e]
-        if vertex(l) is not None])
+        (vertex(l), ids[("e", e)]) for e in keep for l in s.consumed[e]])
     comps: Dict[int, Dict[str, list]] = {}
     for key, idx in ids.items():
         comps.setdefault(roots[idx], {"events": [], "lineages": []})[
@@ -684,13 +675,8 @@ def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
             out.append(TRIVIAL)
             continue
         # replay the component's events in rank order to rebuild a spec
-        init = set(comp["lineages"])
-        for e in evs:
-            for l in s.consumed[e]:
-                if s.prod_ev[l] == -1 and l not in init:
-                    init.add(l)
-        init_order = sorted(init)
-        slots = list(init_order)
+        slots = sorted(comp["lineages"])
+        k = len(slots)
         new_events: List[Event] = []
         for e in evs:
             cons = s.consumed[e]
@@ -707,9 +693,7 @@ def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
                 slots[i] = ox
                 slots[j] = oy
                 slots.append(m)
-        spec = PatternSpec(len(init_order), tuple(new_events))
-        spec.validate()
-        out.append(spec)
+        out.append(PatternSpec(k, tuple(new_events)))
     if len(out) not in (1, 2):
         raise PatternError(f"unexpected decomposition into {len(out)} parts")
     return out

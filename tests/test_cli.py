@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -145,6 +146,23 @@ def test_classify_malformed_pattern_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cannot load pattern {path}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_deeply_nested_json_is_input_error(tmp_path):
+    # json.load raises RecursionError on this document; a run of the CLI
+    # still ends with one line and the input-error code
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for argv, err in (
+            (["classify", "--pattern-file", str(path)],
+             f"cannot load pattern {path}: the document is nested too deeply"),
+            (["verify", "--suite", "moments", "--sigma-file", str(path)],
+             "invalid input: covariance file is nested too deeply")):
+        proc = subprocess.run([sys.executable, "-m", "rtcnlab.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, err + "\n"), argv
 
 
 def test_verify_coupling_small(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rtcnlab import conjecture as cj
@@ -40,7 +42,7 @@ def test_custom_pattern_is_conjectural():
 def test_invariant_under_canonical_relabelling():
     a = PatternSpec(2, (Reticulation(0, 1), Branching(0)))
     b = PatternSpec(2, (Reticulation(1, 0), Branching(1)))
-    assert pt.canonicalize(a).text == pt.canonicalize(b).text
+    assert pt.canonicalize(a) == pt.canonicalize(b)
     assert cj.classify(a).label is cj.classify(b).label
 
 
@@ -51,7 +53,7 @@ def test_rejects_disconnected():
 
 def _extensions(spec: PatternSpec):
     """All one-event connected extensions of a pattern."""
-    footprint = spec.footprint()
+    footprint = len(spec.structure.final_lineages())
     out = []
     for i in range(footprint):
         out.append(PatternSpec(spec.initial_lineages,
@@ -77,13 +79,13 @@ def _extensions(spec: PatternSpec):
 
 def _all_shapes(max_height):
     seeds = [CAT["cherry"], CAT["trident"]]
-    by_canon = {pt.canonicalize(s).text: s for s in seeds}
+    by_canon = {pt.canonicalize(s): s for s in seeds}
     frontier = list(by_canon.values())
     for _ in range(max_height - 1):
         new = []
         for spec in frontier:
             for ext in _extensions(spec):
-                key = pt.canonicalize(ext).text
+                key = pt.canonicalize(ext)
                 if key not in by_canon:
                     by_canon[key] = ext
                     new.append(ext)
@@ -104,7 +106,7 @@ def test_monotone_no_degenerate_extension_is_normal():
         for ext in _extensions(spec):  # extensions have height <= 4
             checked += 1
             assert cj.classify(ext).label is not cj.ClassLabel.NORMAL, \
-                pt.canonicalize(ext).text
+                pt.canonicalize(ext)
     assert checked > 50
 
 
@@ -112,4 +114,25 @@ def test_all_height_le_4_shapes_classify_consistently():
     # every maximal-event choice must give the same label
     for spec in _all_shapes(3):
         for ext in _extensions(spec):
-            assert cj.classify(ext).consistent, pt.canonicalize(ext).text
+            assert cj.classify(ext).consistent, pt.canonicalize(ext)
+
+
+def _permutation_orders(s):
+    """Reference: every permutation of the events that puts each
+    producer before its consumers."""
+    preds = [{s.prod_ev[l] for l in s.consumed[e]} - {-1}
+             for e in range(s.n_events)]
+    for perm in itertools.permutations(range(s.n_events)):
+        pos = {e: i for i, e in enumerate(perm)}
+        if all(pos[p] < pos[e] for e in range(s.n_events) for p in preds[e]):
+            yield perm
+
+
+def test_valid_orders_are_the_topological_permutations():
+    specs = list(CAT.values())
+    specs += [ext for spec in _all_shapes(3) for ext in _extensions(spec)]
+    for spec in specs:
+        s = spec.structure
+        got = list(pt._valid_orders(s))
+        assert len(got) == len(set(got)), spec
+        assert sorted(got) == list(_permutation_orders(s)), spec

@@ -25,8 +25,66 @@ EXPECTED_FOOTPRINTS = {
 
 
 def test_catalog_footprints():
-    assert {pid: spec.footprint() for pid, spec in CAT.items()} == \
+    assert {pid: len(spec.structure.final_lineages())
+            for pid, spec in CAT.items()} == \
         EXPECTED_FOOTPRINTS
+
+
+# the canonical text of each catalog shape
+CANONICAL_TEXTS = {
+    "cherry": "k=1|B(0)->(1,2)",
+    "trident": "k=2|R(0,1)->(2,3,4)",
+    "a-i": "k=1|B(0)->(1,2)|B(1)->(3,4)",
+    "a-ii": "k=1|B(0)->(1,2)|R(1,2)->(3,4,5)",
+    "b-i": "k=2|B(0)->(1,2)|R(1,3)->(4,5,6)",
+    "b-ii": "k=2|R(0,1)->(2,3,4)|B(2)->(5,6)",
+    "b-iii": "k=2|R(0,1)->(2,3,4)|B(4)->(5,6)",
+    "b-iv": "k=2|R(0,1)->(2,3,4)|R(2,4)->(5,6,7)",
+    "b-v": "k=2|R(0,1)->(2,3,4)|R(2,3)->(5,6,7)",
+    "c-i": "k=3|R(0,1)->(2,3,4)|R(2,5)->(6,7,8)",
+    "c-ii": "k=3|R(0,1)->(2,3,4)|R(4,5)->(6,7,8)",
+    "h3-bi": "k=2|B(0)->(1,2)|B(3)->(4,5)|R(1,4)->(6,7,8)",
+    "h3-ci": "k=4|R(0,1)->(2,3,4)|R(5,6)->(7,8,9)|R(2,7)->(10,11,12)",
+    "h3-cii": "k=4|R(0,1)->(2,3,4)|R(5,6)->(7,8,9)|R(4,9)->(10,11,12)",
+}
+
+
+def test_catalog_canonical_texts():
+    assert {pid: pt.canonicalize(spec) for pid, spec in CAT.items()} == \
+        CANONICAL_TEXTS
+    assert pt.canonicalize(pt.TRIVIAL) == "k=1"
+
+
+@pytest.mark.parametrize("k, events, message", [
+    (0, (), "need at least one initial lineage"),
+    (1, (Branching(3),), "branching position 3 out of range for 1 lineages"),
+    (2, (Branching(0),), "pattern is disconnected"),
+    (3, (Branching(0),),
+     "3 initial lineages exceed height + 1 = 2, so the pattern is "
+     "disconnected"),
+])
+def test_invalid_specs_raise_at_construction(k, events, message):
+    with pytest.raises(pt.PatternError, match=f"^{re.escape(message)}$"):
+        PatternSpec(k, events)
+
+
+def test_structure_is_built_once_and_not_compared():
+    a = PatternSpec(1, (Branching(0),))
+    assert a.structure is not CAT["cherry"].structure
+    assert a == CAT["cherry"] and hash(a) == hash(CAT["cherry"])
+    assert repr(a) == ("PatternSpec(initial_lineages=1, "
+                       "events=(Branching(position=0),))")
+    assert a.structure.final_lineages() == [1, 2]
+
+
+def test_initial_lineages_above_the_bound_are_not_allocated(tmp_path):
+    # a connected pattern of height E has at most E + 1 initial lineages;
+    # a larger count is refused before its lineages are built
+    path = tmp_path / "pat.json"
+    path.write_text(json.dumps({"initial_lineages": 10**6, "events": []}))
+    with pytest.raises(pt.PatternError, match=f"^{re.escape(str(path))}: "
+                       r"1000000 initial lineages exceed height \+ 1 = 1, "):
+        pt.load_pattern_file(path)
 
 
 def test_catalog_ids_are_the_documents_ids():
@@ -42,17 +100,17 @@ def test_catalog_basic_shapes():
 
 def test_canonicalize_cherry_child_swap():
     a = PatternSpec(1, (Branching(0),))
-    assert pt.canonicalize(a).text == pt.canonicalize(CAT["cherry"]).text
+    assert pt.canonicalize(a) == pt.canonicalize(CAT["cherry"])
 
 
 def test_canonicalize_trident_side_swap():
     a = PatternSpec(2, (Reticulation(0, 1),))
     b = PatternSpec(2, (Reticulation(1, 0),))
-    assert pt.canonicalize(a).text == pt.canonicalize(b).text
+    assert pt.canonicalize(a) == pt.canonicalize(b)
 
 
 def test_canonicalize_distinguishes_shapes():
-    texts = {pt.canonicalize(spec).text for spec in CAT.values()}
+    texts = {pt.canonicalize(spec) for spec in CAT.values()}
     assert len(texts) == len(CAT)
 
 
@@ -60,7 +118,7 @@ def test_canonicalize_idempotent_under_reordering():
     # the two lower events of the double-branch shape commute in rank
     a = PatternSpec(1, (Branching(0), Branching(0), Branching(1)))
     b = PatternSpec(1, (Branching(0), Branching(1), Branching(0)))
-    assert pt.canonicalize(a).text == pt.canonicalize(b).text
+    assert pt.canonicalize(a) == pt.canonicalize(b)
 
 
 def test_canonicalize_rejects_disconnected():
@@ -108,7 +166,7 @@ def test_fast_equals_generic_equals_bruteforce_on_pattern_hosts():
     # a pattern's initial lineages, like the root edge, have no producer;
     # only the matcher and the brute force count on a pattern's structure
     for host_id, host in CAT.items():
-        _assert_counters_agree(host.structure(), host_id)
+        _assert_counters_agree(host.structure, host_id)
 
 
 def _assert_counters_agree(host, label):
@@ -251,16 +309,16 @@ def test_decompose_cherry_and_trident():
 def test_decompose_b_iv_gives_trident():
     parts = _remove_last_event(CAT["b-iv"])
     assert len(parts) == 1
-    assert pt.canonicalize(parts[0]).text == pt.canonicalize(CAT["trident"]).text
+    assert pt.canonicalize(parts[0]) == pt.canonicalize(CAT["trident"])
 
 
 def test_decompose_h3_shapes():
     parts = _remove_last_event(CAT["h3-bi"])
-    cherry = pt.canonicalize(CAT["cherry"]).text
-    assert sorted(pt.canonicalize(q).text for q in parts) == sorted([cherry, cherry])
+    cherry = pt.canonicalize(CAT["cherry"])
+    assert sorted(pt.canonicalize(q) for q in parts) == sorted([cherry, cherry])
     parts = _remove_last_event(CAT["h3-ci"])
-    trident = pt.canonicalize(CAT["trident"]).text
-    assert [pt.canonicalize(q).text for q in parts] == [trident, trident]
+    trident = pt.canonicalize(CAT["trident"])
+    assert [pt.canonicalize(q) for q in parts] == [trident, trident]
 
 
 def test_pattern_file_round_trip():
@@ -318,12 +376,11 @@ def _random_pattern(rng, height, disjoint_lead):
             else:
                 events.append(Branching(rng.randrange(ell)))
             ell += 1
-        spec = PatternSpec(k, tuple(events))
         try:
-            spec.validate()
+            spec = PatternSpec(k, tuple(events))
         except pt.PatternError:
             continue
-        s = spec.structure()
+        s = spec.structure
         if disjoint_lead == all(s.prod_ev[l] != 0 for l in s.consumed[1]):
             return spec
 
@@ -378,7 +435,7 @@ def test_bruteforce_slices_do_not_change_counts(monkeypatch):
 def test_bruteforce_maps_are_injective(monkeypatch):
     # two disjoint cherries, a shape the public entry points refuse: only
     # the taken-lineage check keeps its events on distinct host events
-    monkeypatch.setattr(PatternSpec, "validate", lambda self: None)
+    monkeypatch.setattr(pt, "_is_connected", lambda s: True)
     plan = pt._brute_plan.__wrapped__(PatternSpec(2, (Branching(0), Branching(1))))
     for events, c in (((Branching(0), Branching(1)), 2),
                       ((Reticulation(0, 1), Branching(0), Branching(1),
@@ -390,7 +447,7 @@ def test_bruteforce_maps_are_injective(monkeypatch):
 
 def test_bruteforce_automorphisms_equal_matcher_self_embeddings():
     for pid, spec in CAT.items():
-        s = spec.structure()
+        s = spec.structure
         assert pt._brute_plan(spec).automorphisms == \
             pt._count_embeddings(s, s), pid
 
