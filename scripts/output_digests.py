@@ -12,7 +12,11 @@ The outputs are:
 - the forward source's histogram at n = 24 with every catalog id;
 - the coupling (n_max 6), theorem2b and prop3 reports at n = 300,
   20,000 replications, seed 4, the conjecture report and the matcher
-  report (60 trials, n_max 16, seed 4), all without their elapsed_s.
+  report (60 trials, n_max 16, seed 4), all without their elapsed_s;
+- conjecture.classify in both base modes on every valid event sequence
+  of height <= 3: k = 1..E+1 initial lineages, and at each event with
+  ell lineages every digit d < ell^2 read as generate reads a step's
+  pair, (i, j) = divmod(d, ell), a branching when i == j.
 
 Run it with each checkout's src on PYTHONPATH and diff the two outputs.
 """
@@ -22,7 +26,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from rtcnlab import chains, montecarlo, patterns, verify
+from rtcnlab import chains, conjecture, montecarlo, patterns, verify
+from rtcnlab.networks import Branching, Reticulation
 
 EXACT_LAST = 20
 EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
@@ -33,6 +38,7 @@ SUITE_OPTS = {"coupling": {"n_max": 6},
               "prop3": {"n": 300, "reps": 20_000, "seed": 4},
               "conjecture": {},
               "matcher": {"trials": 60, "n_max": 16, "seed": 4}}
+CLASSIFY_HEIGHT = 3
 
 
 def _line(name: str, text) -> None:
@@ -46,6 +52,36 @@ def _law_text(law) -> str:
 
 def _histogram_text(summary) -> str:
     return repr(sorted(summary.histogram.items()))
+
+
+def _event_sequences(k: int, height: int):
+    """Every event sequence of the given height on k initial lineages,
+    valid or not, in digit order."""
+    if height == 0:
+        yield ()
+        return
+    for head in _event_sequences(k, height - 1):
+        ell = k + len(head)
+        for d in range(ell * ell):
+            i, j = divmod(d, ell)
+            yield head + (Branching(i) if i == j else Reticulation(i, j),)
+
+
+def _classify_text() -> str:
+    rows = []
+    for height in range(CLASSIFY_HEIGHT + 1):
+        for k in range(1, height + 2):
+            for events in _event_sequences(k, height):
+                try:
+                    spec = patterns.PatternSpec(k, events)
+                except patterns.PatternError:
+                    continue
+                for mode in conjecture.BASE_MODES:
+                    res = conjecture.classify(spec, mode)
+                    rows.append((repr(spec), mode, res.label.value,
+                                 res.conjectural, res.consistent,
+                                 [(e, lab.value) for e, lab in res.by_choice]))
+    return repr(rows)
 
 
 def main() -> int:
@@ -76,6 +112,7 @@ def main() -> int:
         report = verify.run_suite(suite, opts).to_dict()
         del report["elapsed_s"]
         _line(f"verify/{suite}", json.dumps(report, sort_keys=True))
+    _line(f"classify/height<={CLASSIFY_HEIGHT}", _classify_text())
     return 0
 
 

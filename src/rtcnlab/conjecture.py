@@ -1,28 +1,43 @@
-"""Recursive limit-law classification of fringe patterns.
+"""Limit-law classification of fringe patterns, in closed form.
 
-Peeling the last event off a pattern leaves one connected remainder or
-two; the class of the pattern is determined by the classes of the
-remainders:
+The paper classifies every fringe pattern of height 1 or 2 as normal,
+Poisson or degenerate, and conjectures the same trichotomy for every
+pattern.  The conjectured rule peels a maximal event off a pattern,
+which leaves one connected remainder or two, and combines the classes
+of the remainders:
 
   one remainder P:    P normal -> Poisson; anything else -> degenerate
   two remainders:     both normal -> normal; normal + Poisson -> Poisson;
                       anything else -> degenerate
 
-The base of the recursion is the bare single lineage, which classifies
-as normal (mode "trivial-normal"); alternatively the two height-1 shapes
-can be pinned directly (mode "height1"), and both modes must agree on
-the shipped catalog.  Labels for shapes outside the catalog are
-conjectural.  An unranked shape may have several maximal events; the
-classifier tries each of them and reports disagreement instead of
-silently picking one.
+with the bare single lineage as normal (mode "trivial-normal"), or with
+the two height-1 shapes pinned as well (mode "height1": cherry Poisson,
+trident normal).
+
+That recursion has a closed form.  Let r = height - initial lineages + 1
+(r >= 0, as a connected pattern has at most height + 1 initial
+lineages).  The label is normal at r = 0, Poisson at r = 1 and
+degenerate at r >= 2.  Proof, by induction on height: write the labels
+as 0, 1 and 2 for normal, Poisson and degenerate, so the rule above is
+min(2, a + 1) for one remainder a and min(2, a + b) for two remainders
+a and b.  Peeling a maximal event e of p either leaves one remainder,
+with p's initial lineages and one event fewer, whose r is r(p) - 1; or
+two, whose initial lineages and events split p's less e, whose r values
+sum to r(p).  So min(2, r) of the remainders combines to min(2, r(p)).
+The bare lineage has r = 0 (normal); the cherry has r = 1 (Poisson) and
+the trident r = 0 (normal), so pinning them agrees too.  Hence both base
+modes and every choice of maximal event give the same label: a
+classification is always consistent, and the base mode changes only
+whether a height-1 shape reports the base case or its one maximal event.
+
+Labels for shapes outside the catalog are conjectural.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import patterns
 from .patterns import PatternSpec
@@ -32,11 +47,6 @@ class ClassLabel(Enum):
     NORMAL = "Normal"
     POISSON = "Poisson"
     DEGENERATE = "Degenerate"
-
-    @property
-    def frequency_order(self) -> int:
-        # reporting order only: normal patterns occur most often
-        return {"Normal": 2, "Poisson": 1, "Degenerate": 0}[self.value]
 
 
 # the thirteen published classifications
@@ -58,6 +68,9 @@ KNOWN_LABELS: Dict[str, ClassLabel] = {
 
 BASE_MODES = ("trivial-normal", "height1")
 
+# the label at r = 0, 1 and >= 2
+_BY_EXCESS = (ClassLabel.NORMAL, ClassLabel.POISSON, ClassLabel.DEGENERATE)
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -67,82 +80,20 @@ class Classification:
     by_choice: Tuple[Tuple[int, ClassLabel], ...]
 
 
-def _combine(parts) -> ClassLabel:
-    if len(parts) == 1:
-        return (ClassLabel.POISSON if parts[0] is ClassLabel.NORMAL
-                else ClassLabel.DEGENERATE)
-    a, b = parts
-    normals = sum(1 for x in (a, b) if x is ClassLabel.NORMAL)
-    if normals == 2:
-        return ClassLabel.NORMAL
-    if normals == 1 and ClassLabel.POISSON in (a, b):
-        return ClassLabel.POISSON
-    return ClassLabel.DEGENERATE
-
-
-@functools.lru_cache(maxsize=None)
-def _height1_canon() -> Dict[str, ClassLabel]:
-    cat = patterns.catalog()
-    return {patterns.canonicalize(cat["cherry"]): ClassLabel.POISSON,
-            patterns.canonicalize(cat["trident"]): ClassLabel.NORMAL}
-
-
-def _base_label(p: PatternSpec, mode: str,
-                key: Optional[str] = None) -> Optional[ClassLabel]:
-    """p's pinned label if p is a base case, else None (key: p's text)."""
-    if p.height == 0:
-        # forced in either mode: a bare lineage must act as a normal part
-        # for the published height-2 labels to come out right
-        return ClassLabel.NORMAL
-    if mode == "height1" and p.height == 1:
-        return _height1_canon().get(key or patterns.canonicalize(p))
-    return None
-
-
-def _peel(p: PatternSpec, mode: str,
-          cache: Dict[str, ClassLabel]) -> Tuple[Tuple[int, ClassLabel], ...]:
-    """Each maximal event of p with the label its remainders combine to."""
-    return tuple((e, _combine([_classify_canonical(q, mode, cache)
-                               for q in patterns.remove_event(p, e)]))
-                 for e in patterns.maximal_events(p))
-
-
-def _classify_canonical(p: PatternSpec, mode: str,
-                        cache: Dict[str, ClassLabel]) -> ClassLabel:
-    key = patterns.canonicalize(p)
-    if key not in cache:
-        label = _base_label(p, mode, key)
-        if label is None:
-            labels = {lab for _, lab in _peel(p, mode, cache)}
-            if len(labels) != 1:
-                raise InconsistentClassification(p, labels)
-            label = labels.pop()
-        cache[key] = label
-    return cache[key]
-
-
-class InconsistentClassification(RuntimeError):
-    def __init__(self, pattern, labels):
-        super().__init__(
-            f"maximal-event choices disagree: {sorted(l.value for l in labels)}")
-        self.pattern = pattern
-        self.labels = labels
-
-
 def classify(p: PatternSpec, base_mode: str = "trivial-normal") -> Classification:
-    """Classify a pattern, trying every maximal event at the top level."""
+    """The class of a pattern from r = height - initial lineages + 1 (see
+    the module docstring).  by_choice is ((-1, label),) for a base case
+    (height 0, and height 1 in mode "height1"), else one (event, label)
+    pair per maximal event, each with the same label."""
     if base_mode not in BASE_MODES:
         raise ValueError(f"unknown base mode {base_mode!r}")
     conjectural = patterns.resolve(p)[0] not in KNOWN_LABELS
-    label = _base_label(p, base_mode)
-    if label is not None:
-        return Classification(label, conjectural, True, ((-1, label),))
-    by_choice = _peel(p, base_mode, {})
-    labels = {lab for _, lab in by_choice}
-    consistent = len(labels) == 1
-    label = max(labels, key=lambda l: l.frequency_order) if not consistent \
-        else labels.pop()
-    return Classification(label, conjectural, consistent, by_choice)
+    label = _BY_EXCESS[min(2, p.height - p.initial_lineages + 1)]
+    if p.height == 0 or (base_mode == "height1" and p.height == 1):
+        by_choice = ((-1, label),)
+    else:
+        by_choice = tuple((e, label) for e in patterns.maximal_events(p))
+    return Classification(label, conjectural, True, by_choice)
 
 
 def classify_catalog(base_mode: str = "trivial-normal") -> Dict[str, ClassLabel]:

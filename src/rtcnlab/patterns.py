@@ -133,35 +133,40 @@ def _valid_orders(s: EventStructure):
     return extend()
 
 
+def _alignment_slots(pat: EventStructure, pe: int, swap: int) -> tuple:
+    """Event pe's consumed then produced lineages under one alignment of
+    its symmetry: swap exchanges a branching's children, or a
+    reticulation's consumed pair and outer children together (the middle
+    child is fixed).  The canonical form and the brute force share it."""
+    if pat.kinds[pe] == "B":
+        c1, c2 = pat.produced[pe]
+        return pat.consumed[pe] + ((c2, c1) if swap else (c1, c2))
+    px, py = pat.consumed[pe]
+    pox, poy, pm = pat.produced[pe]
+    if swap:
+        px, py, pox, poy = py, px, poy, pox
+    return (px, py, pox, poy, pm)
+
+
+_EVENT_TEXT = {"B": "B({})->({},{})", "R": "R({},{})->({},{},{})"}
+
+
 def _serialize_under(s: EventStructure, order, swaps) -> str:
+    """The pattern's text with its events in the given order, each under
+    the alignment of its swap bit, and lineages numbered by first use."""
     num: Dict[int, int] = {}
-    counter = itertools.count()
-
-    def label(l):
-        if l not in num:
-            num[l] = next(counter)
-        return num[l]
-
     parts = [f"k={s.initial_count}"]
     for e, sw in zip(order, swaps):
-        if s.kinds[e] == "B":
-            (x,) = s.consumed[e]
-            c1, c2 = s.produced[e]
-            if sw:
-                c1, c2 = c2, c1
-            parts.append(f"B({label(x)})->({label(c1)},{label(c2)})")
-        else:
-            x, y = s.consumed[e]
-            ox, oy, m = s.produced[e]
-            if sw:
-                x, y, ox, oy = y, x, oy, ox
-            parts.append(f"R({label(x)},{label(y)})->({label(ox)},{label(oy)},{label(m)})")
+        parts.append(_EVENT_TEXT[s.kinds[e]].format(
+            *[num.setdefault(l, len(num)) for l in _alignment_slots(s, e, sw)]))
     return "|".join(parts)
 
 
 def canonicalize(p: PatternSpec) -> str:
     """Canonical string invariant under event re-ranking, branching child
-    swaps, reticulation side swaps and initial-lineage renumbering."""
+    swaps, reticulation side swaps and initial-lineage renumbering: the
+    least text over every topological order and every swap vector, so its
+    cost grows exponentially with height."""
     s = p.structure
     return min(_serialize_under(s, order, swaps)
                for order in _valid_orders(s)
@@ -307,17 +312,6 @@ class _BrutePlan:
     n_lineages: int
     final: np.ndarray
     automorphisms: int = 1
-
-
-def _alignment_slots(pat: EventStructure, pe: int, swap: int) -> tuple:
-    if pat.kinds[pe] == "B":
-        c1, c2 = pat.produced[pe]
-        return pat.consumed[pe] + ((c2, c1) if swap else (c1, c2))
-    px, py = pat.consumed[pe]
-    pox, poy, pm = pat.produced[pe]
-    if swap:
-        px, py, pox, poy = py, px, poy, pox
-    return (px, py, pox, poy, pm)
 
 
 @functools.lru_cache(maxsize=64)
@@ -604,14 +598,18 @@ def _canonical_index() -> Dict[str, str]:
 
 
 def resolve(p: Union[str, PatternSpec]) -> Tuple[Optional[str], PatternSpec]:
-    """Map a pattern or id to (catalog id or None, spec)."""
+    """Map a pattern or id to (catalog id or None, spec).  A spec whose
+    height and initial lineages no catalog shape shares is not
+    canonicalised: isomorphic shapes share both."""
+    cat = catalog()
     if isinstance(p, str):
-        cat = catalog()
         if p not in cat:
             raise KeyError(f"unknown pattern id {p!r}")
         return p, cat[p]
-    pid = _canonical_index().get(canonicalize(p))
-    return pid, p
+    size = (p.height, p.initial_lineages)
+    if all((q.height, q.initial_lineages) != size for q in cat.values()):
+        return None, p
+    return _canonical_index().get(canonicalize(p)), p
 
 
 def count_occurrences(network: Union[Network, EventStructure],
@@ -644,56 +642,3 @@ def maximal_events(p: PatternSpec) -> List[int]:
     s = p.structure
     return [e for e in range(s.n_events)
             if all(s.consumer[l] == -1 for l in s.produced[e])]
-
-
-def remove_event(p: PatternSpec, event_index: int) -> List[PatternSpec]:
-    """Remove a maximal event; return the connected remainders (one or
-    two), with bare lineages returned as the trivial pattern."""
-    s = p.structure
-    if event_index not in maximal_events(p):
-        raise PatternError("only maximal events can be removed")
-    keep = [e for e in range(s.n_events) if e != event_index]
-    # components over kept events and initial lineages
-    ids = {("e", e): i for i, e in enumerate(keep)}
-    for i in range(s.initial_count):
-        ids[("l", i)] = len(ids)
-
-    def vertex(l):
-        pe = s.prod_ev[l]
-        return ids[("e", pe)] if pe != -1 else ids[("l", l)]
-
-    roots = _components(len(ids), [
-        (vertex(l), ids[("e", e)]) for e in keep for l in s.consumed[e]])
-    comps: Dict[int, Dict[str, list]] = {}
-    for key, idx in ids.items():
-        comps.setdefault(roots[idx], {"events": [], "lineages": []})[
-            "events" if key[0] == "e" else "lineages"].append(key[1])
-    out = []
-    for comp in comps.values():
-        evs = sorted(comp["events"])
-        if not evs:
-            out.append(TRIVIAL)
-            continue
-        # replay the component's events in rank order to rebuild a spec
-        slots = sorted(comp["lineages"])
-        k = len(slots)
-        new_events: List[Event] = []
-        for e in evs:
-            cons = s.consumed[e]
-            if s.kinds[e] == "B":
-                i = slots.index(cons[0])
-                new_events.append(Branching(i))
-                a, b = s.produced[e]
-                slots[i] = a
-                slots.append(b)
-            else:
-                i, j = slots.index(cons[0]), slots.index(cons[1])
-                new_events.append(Reticulation(i, j))
-                ox, oy, m = s.produced[e]
-                slots[i] = ox
-                slots[j] = oy
-                slots.append(m)
-        out.append(PatternSpec(k, tuple(new_events)))
-    if len(out) not in (1, 2):
-        raise PatternError(f"unexpected decomposition into {len(out)} parts")
-    return out

@@ -297,30 +297,6 @@ def test_trivial_pattern_counts_external_lineages():
     assert pt.count_occurrences(net, pt.TRIVIAL) == 7
 
 
-def _remove_last_event(p):
-    return pt.remove_event(p, p.height - 1)
-
-
-def test_decompose_cherry_and_trident():
-    assert _remove_last_event(CAT["cherry"]) == [pt.TRIVIAL]
-    assert _remove_last_event(CAT["trident"]) == [pt.TRIVIAL, pt.TRIVIAL]
-
-
-def test_decompose_b_iv_gives_trident():
-    parts = _remove_last_event(CAT["b-iv"])
-    assert len(parts) == 1
-    assert pt.canonicalize(parts[0]) == pt.canonicalize(CAT["trident"])
-
-
-def test_decompose_h3_shapes():
-    parts = _remove_last_event(CAT["h3-bi"])
-    cherry = pt.canonicalize(CAT["cherry"])
-    assert sorted(pt.canonicalize(q) for q in parts) == sorted([cherry, cherry])
-    parts = _remove_last_event(CAT["h3-ci"])
-    trident = pt.canonicalize(CAT["trident"])
-    assert [pt.canonicalize(q) for q in parts] == [trident, trident]
-
-
 def test_pattern_file_round_trip():
     path = Path(pt.__file__).parent / "data" / "patterns" / "c_ii.json"
     assert pt.load_pattern_file(path) == CAT["c-ii"]
