@@ -10,8 +10,10 @@ The outputs are:
 - the run_experiment histograms and raw CSVs of every chain table at
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
 - the forward source's histogram at n = 24 with every catalog id;
-- the coupling (n_max 6), theorem2b and prop3 reports at n = 300,
-  20,000 replications, seed 4, the conjecture report and the matcher
+- the coupling report (n_max 6), the six statistical suites' reports
+  (theorem1, theorem2a, theorem2b, theorem2c, prop3 and prop4) at
+  n = 300, 20,000 replications and seed 4 (theorem2a's exact a-i mean
+  stays at its own n = 200), the conjecture report and the matcher
   report (60 trials, n_max 16, seed 4), all without their elapsed_s;
 - conjecture.classify in both base modes on every valid event sequence
   of height <= 3: k = 1..E+1 initial lineages, and at each event with
@@ -33,9 +35,11 @@ EXACT_LAST = 20
 EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
 CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
 FORWARD_RUN = (24, 2000, 3)
+MC_OPTS = {"n": 300, "reps": 20_000, "seed": 4}
 SUITE_OPTS = {"coupling": {"n_max": 6},
-              "theorem2b": {"n": 300, "reps": 20_000, "seed": 4},
-              "prop3": {"n": 300, "reps": 20_000, "seed": 4},
+              **{suite: MC_OPTS for suite in ("theorem1", "theorem2a",
+                                              "theorem2b", "theorem2c",
+                                              "prop3", "prop4")},
               "conjecture": {},
               "matcher": {"trials": 60, "n_max": 16, "seed": 4}}
 CLASSIFY_HEIGHT = 3

@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 input-validation failure,
 3 verification failure.  Every run emits a manifest (next to --out, or on
 stderr when writing to stdout) recording the full configuration and the
 digests of everything written, so a run can be replayed bit-exactly.
-All randomness flows from --seed; --threads (default RTCN_THREADS) is
-validated and recorded but has no effect.
+All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -154,9 +153,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--reps must be at least 2")
     if args.leaves is not None and args.leaves < 2:
         raise UsageError("--leaves must be at least 2")
-    if args.threads < 1:
-        raise UsageError("--threads (default RTCN_THREADS) must be at least 1")
-    opts = {"seed": args.seed, "threads": args.threads}
+    opts = {"seed": args.seed}
     if args.reps is not None:
         opts["reps"] = args.reps
     if args.leaves is not None:
@@ -170,9 +167,9 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read {exc.filename}: {exc}") from None
     payload = _json_dump(report.to_dict())
-    cfg = {"suite": args.suite, "seed": args.seed, "threads": args.threads,
-           "reps": args.reps, "leaves": args.leaves,
-           "sigma_file": args.sigma_file, "out": args.out}
+    cfg = {"suite": args.suite, "seed": args.seed, "reps": args.reps,
+           "leaves": args.leaves, "sigma_file": args.sigma_file,
+           "out": args.out}
     _emit(payload, args.out, _manifest("verify", cfg))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -233,13 +230,6 @@ def build_parser() -> _Parser:
     v.add_argument("--reps", type=int, default=None)
     v.add_argument("--leaves", type=int, default=None,
                    help="override the suite's leaf count")
-    # argparse converts a string default with type, so a bad RTCN_THREADS
-    # is a usage error like a bad --threads
-    v.add_argument("--threads", type=int,
-                   default=os.environ.get("RTCN_THREADS", "1"),
-                   help="accepted for compatibility and has no effect "
-                        "(default: RTCN_THREADS, else 1); the Monte Carlo "
-                        "runs in one thread")
     v.add_argument("--sigma-file", default=None,
                    help="override the covariance matrix data file")
     v.add_argument("--out")

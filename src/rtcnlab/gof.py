@@ -80,7 +80,7 @@ def poisson_pmf(k: int, lam: float) -> float:
         else (1.0 if k == 0 else 0.0)
 
 
-def poisson_bins(lam: float, total: int, min_expected: float = 5.0
+def poisson_bins(lam: float, total: int, min_expected: float
                  ) -> List[Tuple[int, float]]:
     """Bins {0}, {1}, ... with the tail merged so every expected count is
     at least min_expected; returns (lower value, expected count) pairs,

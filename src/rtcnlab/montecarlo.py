@@ -363,14 +363,27 @@ def _write_raw_csv(path: str, components, block_rows) -> None:
 
 # -- fit checks ---------------------------------------------------------------
 
+# The acceptance tolerances of the fit checks, pinned here: no caller
+# sets them.  Only the chi-square p-value floor is a parameter, whose
+# default P_THRESHOLD the verify suites use.
+P_THRESHOLD = 1e-3
+MIN_EXPECTED = 5.0  # least expected count of a chi-square cell
+Z_THRESHOLD = 4.0  # standard errors a moment or covariance may stray
+VAR_REL_TOL = 0.05  # relative variance error accepted at any sample size
+COV_REL_TOL = 0.10  # relative covariance error accepted at any sample size
+CORR_THRESHOLD = 0.02  # |correlation| below which two counts pass
+# the product law independence_check fits: Poisson(1/8) x Poisson(1/4),
+# the (b-i, cherry) law of Proposition 3
+INDEPENDENCE_RATES = (0.125, 0.25)
+
 
 def poisson_gof(summary: SampleSummary, lam: float, component=0,
-                p_threshold: float = 1e-3, min_expected: float = 5.0) -> FitReport:
+                p_threshold: float = P_THRESHOLD) -> FitReport:
     """Chi-square fit of one component against Poisson(lam)."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     hist = summary.marginal_histogram(component)
-    bins = gof.poisson_bins(lam, summary.reps, min_expected)
+    bins = gof.poisson_bins(lam, summary.reps, MIN_EXPECTED)
     if len(bins) < 2:
         raise ValueError("too few samples to form bins with the required "
                          "expected counts")
@@ -392,9 +405,7 @@ def poisson_gof(summary: SampleSummary, lam: float, component=0,
 
 
 def normality_check(summary: SampleSummary, mu_n: float, sigma2_n: float,
-                    component=0, var_rel_tol: float = 0.05,
-                    z_threshold: float = 4.0,
-                    moment_slack_coef: float = 6.0) -> FitReport:
+                    component=0, moment_slack_coef: float = 6.0) -> FitReport:
     """Standardize by the supplied centering and scale, then test the mean,
     the variance ratio, and the standardized third and fourth moments.
 
@@ -420,14 +431,14 @@ def normality_check(summary: SampleSummary, mu_n: float, sigma2_n: float,
     se4 = math.sqrt(96.0 / N)
     slack = moment_slack_coef / math.sqrt(summary.n) if summary.n else 0.0
     var_ratio = summary.variance(component) / sigma2_n
-    m3_tol = z_threshold * se3 + slack
-    m4_tol = z_threshold * se4 + slack
+    m3_tol = Z_THRESHOLD * se3 + slack
+    m4_tol = Z_THRESHOLD * se4 + slack
+    var_tol = max(VAR_REL_TOL, Z_THRESHOLD * se2)
     checks = [
         {"name": "standardized_mean", "value": z1,
-         "threshold": z_threshold * se1, "passed": abs(z1) <= z_threshold * se1},
+         "threshold": Z_THRESHOLD * se1, "passed": abs(z1) <= Z_THRESHOLD * se1},
         {"name": "variance_ratio", "value": var_ratio,
-         "threshold": max(var_rel_tol, z_threshold * se2),
-         "passed": abs(var_ratio - 1.0) <= max(var_rel_tol, z_threshold * se2)},
+         "threshold": var_tol, "passed": abs(var_ratio - 1.0) <= var_tol},
         {"name": "third_moment", "value": z3, "threshold": m3_tol,
          "passed": abs(z3) <= m3_tol},
         {"name": "fourth_moment", "value": z4, "target": 3.0,
@@ -440,11 +451,10 @@ def normality_check(summary: SampleSummary, mu_n: float, sigma2_n: float,
 
 
 def covariance_check(summary: SampleSummary, n: int,
-                     sigma: Sequence[Sequence[Fraction]],
-                     rel_tol: float = 0.10, z_threshold: float = 4.0) -> FitReport:
+                     sigma: Sequence[Sequence[Fraction]]) -> FitReport:
     """Entrywise comparison of the empirical covariance matrix over n with
-    a target matrix; tolerance is the larger of rel_tol and z_threshold
-    standard errors of the covariance estimate."""
+    a target matrix; tolerance is the larger of COV_REL_TOL relative and
+    Z_THRESHOLD standard errors of the covariance estimate."""
     k = len(summary.components)
     if k != len(sigma):
         raise ValueError("component count does not match matrix size")
@@ -458,7 +468,7 @@ def covariance_check(summary: SampleSummary, n: int,
             cjj = summary.covariance(j, j)
             cij = summary.covariance(i, j)
             se = math.sqrt(max(cii * cjj + cij * cij, 0.0) / N) / n
-            tol = max(rel_tol * abs(target), z_threshold * se)
+            tol = max(COV_REL_TOL * abs(target), Z_THRESHOLD * se)
             checks.append({
                 "name": f"cov[{summary.components[i]},{summary.components[j]}]",
                 "value": emp, "target": target, "tolerance": tol,
@@ -469,17 +479,16 @@ def covariance_check(summary: SampleSummary, n: int,
                      passed=all(c["passed"] for c in checks))
 
 
-def independence_check(summary: SampleSummary, lam_x: float = 0.125,
-                       lam_c: float = 0.25, components=(0, 1),
-                       p_threshold: float = 1e-3,
-                       corr_threshold: float = 0.02,
-                       min_expected: float = 5.0) -> FitReport:
-    """Joint frequency table against a product of two Poisson laws,
-    plus the empirical correlation."""
+def independence_check(summary: SampleSummary, components=(0, 1),
+                       p_threshold: float = P_THRESHOLD) -> FitReport:
+    """Joint frequency table of two components against the product law
+    Poisson(lam_x) x Poisson(lam_c) of INDEPENDENCE_RATES, plus the
+    empirical correlation."""
+    lam_x, lam_c = INDEPENDENCE_RATES
     ix, ic = (summary.index(c) for c in components)
     N = summary.reps
-    # per-margin floor sqrt(min_expected * N) keeps joint cells >= min_expected
-    margin_floor = max(min_expected, math.sqrt(min_expected * N))
+    # per-margin floor sqrt(MIN_EXPECTED * N) keeps joint cells >= MIN_EXPECTED
+    margin_floor = max(MIN_EXPECTED, math.sqrt(MIN_EXPECTED * N))
     bins_x = gof.poisson_bins(lam_x, N, margin_floor)
     bins_c = gof.poisson_bins(lam_c, N, margin_floor)
     lowers_x = [b[0] for b in bins_x]
@@ -499,8 +508,8 @@ def independence_check(summary: SampleSummary, lam_x: float = 0.125,
     checks = [
         {"name": "joint_chi_square_p", "value": p, "threshold": p_threshold,
          "passed": p > p_threshold},
-        {"name": "correlation", "value": corr, "threshold": corr_threshold,
-         "passed": abs(corr) < corr_threshold},
+        {"name": "correlation", "value": corr, "threshold": CORR_THRESHOLD,
+         "passed": abs(corr) < CORR_THRESHOLD},
         {"name": "marginal_mean_x", "value": mean_x, "target": lam_x,
          "passed": abs(mean_x - lam_x) <= 4 * max(se_x, 1e-12)},
     ]

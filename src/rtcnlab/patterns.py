@@ -137,7 +137,8 @@ def _alignment_slots(pat: EventStructure, pe: int, swap: int) -> tuple:
     """Event pe's consumed then produced lineages under one alignment of
     its symmetry: swap exchanges a branching's children, or a
     reticulation's consumed pair and outer children together (the middle
-    child is fixed).  The canonical form and the brute force share it."""
+    child is fixed).  The canonical form, the anchored matcher and the
+    brute force share it."""
     if pat.kinds[pe] == "B":
         c1, c2 = pat.produced[pe]
         return pat.consumed[pe] + ((c2, c1) if swap else (c1, c2))
@@ -232,26 +233,8 @@ def _count_embeddings(pat: EventStructure, net: EventStructure) -> int:
         return True
 
     def try_event(pe, ne, swap, bound):
-        if pat.kinds[pe] == "B":
-            pcons = pat.consumed[pe]
-            ncons = net.consumed[ne]
-            pprod = pat.produced[pe]
-            nprod = net.produced[ne]
-            if swap:
-                pprod = (pprod[1], pprod[0])
-        else:
-            px, py = pat.consumed[pe]
-            pox, poy, pm = pat.produced[pe]
-            if swap:
-                px, py, pox, poy = py, px, poy, pox
-            pcons = (px, py)
-            pprod = (pox, poy, pm)
-            ncons = net.consumed[ne]
-            nprod = net.produced[ne]
-        for pl, nl in zip(pcons + pprod, ncons + nprod):
-            if not bind(pl, nl, bound):
-                return False
-        return True
+        return all(bind(pl, nl, bound) for pl, nl in zip(
+            _alignment_slots(pat, pe, swap), net.consumed[ne] + net.produced[ne]))
 
     def candidates(pe):
         """Host events consistent with already-bound lineages."""

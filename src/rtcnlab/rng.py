@@ -8,25 +8,47 @@ draw, regardless of how the replications are split into blocks.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
 _KEY_CONST = 0x9E3779B97F4A7C15  # fixed second key word
+# each thread's one generator, re-keyed for every draw by _rekeyed
+_local = threading.local()
 
 
 def _key_word(stream: int) -> int:
     return (_KEY_CONST ^ stream) & _M64
 
 
-def _key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed & _M64, _key_word(stream)], dtype=np.uint64)
+def _rekeyed(seed: int, streams, counter: int = 0):
+    """For each stream in turn, this thread's generator in the state that
+    Philox(key=(seed, key word of stream), counter=counter) starts in.
+
+    Constructing a Philox from a key reads OS entropy for a seed sequence
+    that the key then overrides; the generator here is made once per
+    thread from a fixed seed, which reads none, and is re-keyed by
+    assigning its state.  The state's arrays are Python-int lists, which
+    numpy's setter converts faster than uint64 arrays, and only the
+    stream's key word changes between streams."""
+    bg = getattr(_local, "bg", None)
+    if bg is None:
+        bg = _local.bg = np.random.Philox(0)
+    key = [int(seed) & _M64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [counter & _M64, counter >> 64 & _M64,
+                                   counter >> 128 & _M64, counter >> 192],
+                       "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for stream in streams:
+        key[1] = _key_word(int(stream))
+        bg.state = state
+        yield bg
 
 
-def _philox(seed: int, stream: int, counter: int) -> np.random.Philox:
-    return np.random.Philox(key=_key(seed, stream), counter=counter)
-
-
-def raw_block(seed: int, step: int, lo: int, hi: int, stream: int = 0) -> np.ndarray:
+def raw_block(seed: int, step: int, lo: int, hi: int) -> np.ndarray:
     """uint64 words for replication indices lo..hi-1 at a given step.
 
     lo and hi must be multiples of 4 (Philox emits 4 words per counter
@@ -35,7 +57,7 @@ def raw_block(seed: int, step: int, lo: int, hi: int, stream: int = 0) -> np.nda
     """
     if lo % 4 or hi % 4:
         raise ValueError("block bounds must be multiples of 4")
-    bg = _philox(seed, stream, (int(step) << 64) + (lo >> 2))
+    bg = next(_rekeyed(seed, (0,), (int(step) << 64) + (lo >> 2)))
     return bg.random_raw(hi - lo)
 
 
@@ -49,28 +71,14 @@ class CounterStream:
 
     def words(self, n_steps: int) -> np.ndarray:
         """Words for steps 0..n_steps-1, in one generator call."""
-        bg = _philox(self.seed, self.stream, 0)
+        bg = next(_rekeyed(self.seed, (self.stream,)))
         return bg.random_raw(4 * n_steps)[::4]
 
 
 def stream_words(seed: int, streams, n_steps: int) -> np.ndarray:
     """(len(streams), n_steps) uint64 words; row s equals
-    CounterStream(seed, streams[s]).words(n_steps).
-
-    One generator is re-keyed per stream by assigning its state, which
-    is cheaper than constructing a generator per stream.  The state is
-    the generator's own dict with its arrays replaced by Python-int
-    lists, whose second key word is rewritten per stream: numpy's state
-    setter converts lists faster than uint64 arrays."""
-    seed = int(seed)
-    bg = _philox(seed, 0, 0)
-    key = [seed & _M64, 0]
-    state = bg.state
-    state["state"] = {"counter": [0, 0, 0, 0], "key": key}
-    state["buffer"] = [0, 0, 0, 0]
+    CounterStream(seed, streams[s]).words(n_steps)."""
     out = np.empty((len(streams), n_steps), dtype=np.uint64)
-    for row, stream in zip(out, streams):
-        key[1] = _key_word(int(stream))
-        bg.state = state
+    for row, bg in zip(out, _rekeyed(seed, streams)):
         row[:] = bg.random_raw(4 * n_steps)[::4]
     return out

@@ -178,11 +178,20 @@ def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nonsense"]) == 1
 
 
-def test_bad_threads_variable_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("RTCN_THREADS", "abc")
-    assert run(["verify", "--suite", "conjecture"]) == 1
+def test_threads_option_is_usage_error(capsys):
+    assert run(["verify", "--suite", "conjecture", "--threads", "2"]) == 1
     err = capsys.readouterr().err
     assert "--threads" in err and len(err.splitlines()) == 1
+
+
+def test_threads_variable_is_not_read(monkeypatch, tmp_path):
+    monkeypatch.setenv("RTCN_THREADS", "abc")
+    out = tmp_path / "conjecture.json"
+    assert run(["verify", "--suite", "conjecture", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "conjecture.json.manifest.json")
+                          .read_text())
+    assert set(manifest["config"]) == {"suite", "seed", "reps", "leaves",
+                                       "sigma_file", "out"}
 
 
 def test_verify_rejects_single_replication(capsys):
@@ -205,16 +214,6 @@ def test_verify_suite_without_checks_fails(monkeypatch, capsys):
     assert run(["verify", "--suite", "coupling"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == [] and doc["passed"] is False
-
-
-def test_threads_below_one_is_usage_error(monkeypatch, capsys):
-    assert run(["verify", "--suite", "conjecture", "--threads", "-5"]) == 1
-    err = capsys.readouterr().err
-    assert "--threads" in err and len(err.splitlines()) == 1
-    monkeypatch.setenv("RTCN_THREADS", "0")
-    assert run(["verify", "--suite", "conjecture"]) == 1
-    err = capsys.readouterr().err
-    assert "RTCN_THREADS" in err and len(err.splitlines()) == 1
 
 
 def test_bad_subcommand_is_usage_error():

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import random
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtcnlab import chains, gof, montecarlo as mc, networks, patterns, rng
+from rtcnlab import (chains, gof, montecarlo as mc, networks, patterns, rng,
+                     verify)
 
 
 # frozen reference values for the chi-square survival function
@@ -113,6 +116,64 @@ def test_covariance_check_identity():
     assert not mc.covariance_check(s, n, wrong).passed
 
 
+# one fixed two-component sample, (x, c) with weights, at n = 400
+PINNED_SAMPLE = mc.SampleSummary(
+    components=("x", "c"), n=400, reps=100_000, seed=0, source="synthetic",
+    histogram={(0, 0): 70_000, (0, 1): 17_000, (1, 0): 9_000, (1, 1): 2_500,
+               (2, 0): 1_000, (0, 2): 500})
+
+
+def test_fit_checks_reject_removed_keywords():
+    s = PINNED_SAMPLE
+    sigma = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    removed = [
+        (functools.partial(mc.poisson_gof, s, 0.25), ("min_expected",)),
+        (functools.partial(mc.normality_check, s, 0.1, 0.1),
+         ("var_rel_tol", "z_threshold")),
+        (functools.partial(mc.covariance_check, s, 400, sigma),
+         ("rel_tol", "z_threshold")),
+        (functools.partial(mc.independence_check, s),
+         ("lam_x", "lam_c", "corr_threshold", "min_expected"))]
+    for check, names in removed:
+        for name in names:
+            with pytest.raises(TypeError, match=name):
+                check(**{name: 1.0})
+
+
+def test_fit_checks_report_pinned_thresholds():
+    s = PINNED_SAMPLE
+    N = s.reps
+    poisson = mc.poisson_gof(s, 0.25, component="c")
+    assert poisson.checks[0]["threshold"] == 1e-3
+    assert poisson.details["bins"] == gof.poisson_bins(0.25, N, 5.0)
+    assert min(e for _, e in poisson.details["bins"]) >= 5.0
+    normal = {c["name"]: c["threshold"]
+              for c in mc.normality_check(s, 0.2, 0.2, component="c").checks}
+    assert normal == {
+        "standardized_mean": 4.0 * (1.0 / math.sqrt(N)),
+        "variance_ratio": 0.05,
+        "third_moment": 4.0 * math.sqrt(15.0 / N) + 6.0 / math.sqrt(400),
+        "fourth_moment": 4.0 * math.sqrt(96.0 / N) + 6.0 / math.sqrt(400)}
+    sigma = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(2)))
+    cov = mc.covariance_check(s, 400, sigma)
+    assert [c["tolerance"] for c in cov.checks[:3]] == [0.1, 0.05, 0.2]
+    joint = mc.independence_check(s, components=("x", "c"))
+    assert joint.law == "Poisson(0.125) x Poisson(0.25)"
+    assert {c["name"]: c.get("threshold", c.get("target"))
+            for c in joint.checks} == {"joint_chi_square_p": 1e-3,
+                                       "correlation": 0.02,
+                                       "marginal_mean_x": 0.125}
+
+
+def test_theorem2a_reads_only_n_reps_and_seed():
+    # max_fraction and mean_n are pinned, not options
+    report = verify.run_suite("theorem2a", {"n": 40, "reps": 400, "seed": 1,
+                                            "max_fraction": 0.5,
+                                            "mean_n": 50})
+    assert [c["threshold"] for c in report.checks[:3]] == [0.01] * 3
+    assert report.checks[3]["target"]["den"] == "2000"
+
+
 def test_run_experiment_deterministic_and_thread_independent():
     base = dict(source="b-iv", n=120, reps=6000, seed=99)
     one = mc.run_experiment(mc.ExperimentConfig(threads=1, **base))
@@ -162,6 +223,25 @@ def test_chain_block_size_changes_nothing(tmp_path, monkeypatch):
     assert split.histogram == whole.histogram
     assert (tmp_path / "split.csv").read_bytes() == \
         (tmp_path / "whole.csv").read_bytes()
+
+
+def test_chain_block_reads_no_os_entropy(monkeypatch):
+    # np.random.Philox(key=...) seeds a seed sequence from OS entropy and
+    # then discards it; the kernel's draws are re-keyed without one.
+    # numpy reads the entropy through a getrandbits it bound at import,
+    # so that name is refused as well as the class's method.
+    table = chains.builtin_table("b-i")
+    want = mc._chain_block(table, 30, 5, 0, 64)
+
+    def refuse(*args):
+        raise AssertionError("read OS entropy")
+
+    monkeypatch.setattr(random.SystemRandom, "getrandbits", refuse)
+    monkeypatch.setattr(np.random.bit_generator, "randbits", refuse,
+                        raising=False)
+    assert (mc._chain_block(table, 30, 5, 0, 64) == want).all()
+    assert (rng.stream_words(5, [1, 2], 3)
+            == [rng.CounterStream(5, s).words(3) for s in (1, 2)]).all()
 
 
 def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
