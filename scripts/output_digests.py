@@ -10,6 +10,9 @@ The outputs are:
 - the run_experiment histograms and raw CSVs of every chain table at
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
 - the forward source's histogram at n = 24 with every catalog id;
+- networks.generate's serialised network at a few (n, seed, stream),
+  n = 1000 included, and the arrays of history_batch over every history
+  of n = 6 (each with its dtype and shape);
 - the coupling report (n_max 6), the six statistical suites' reports
   (theorem1, theorem2a, theorem2b, theorem2c, prop3 and prop4) at
   n = 300, 20,000 replications and seed 4 (theorem2a's exact a-i mean
@@ -28,13 +31,17 @@ import json
 import tempfile
 from pathlib import Path
 
-from rtcnlab import chains, conjecture, montecarlo, patterns, verify
+from rtcnlab import (chains, conjecture, montecarlo, networks, patterns,
+                     verify)
 from rtcnlab.networks import Branching, Reticulation
 
 EXACT_LAST = 20
 EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
 CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
 FORWARD_RUN = (24, 2000, 3)
+GENERATE_RUNS = ((2, 0, 0), (5, 0, 0), (5, 2**64 - 1, 0), (30, 7, 3),
+                 (200, 9, 2**64 - 1), (1000, 42, 0), (1000, 5, 1))
+HISTORY_N = 6
 MC_OPTS = {"n": 300, "reps": 20_000, "seed": 4}
 SUITE_OPTS = {"coupling": {"n_max": 6},
               **{suite: MC_OPTS for suite in ("theorem1", "theorem2a",
@@ -112,6 +119,15 @@ def main() -> int:
                                       seed=seed, pattern_ids=ids)
     _line(f"forward/n={n},reps={reps},seed={seed},ids={len(ids)}",
           _histogram_text(montecarlo.run_experiment(cfg)))
+    for n, seed, stream in GENERATE_RUNS:
+        _line(f"generate/n={n},seed={seed},stream={stream}",
+              networks.serialize(networks.generate(n, seed, stream)))
+    batch = networks.history_batch(HISTORY_N, 0,
+                                   networks.history_count(HISTORY_N))
+    for name in ("kind", "consumed", "consumer", "open_slots"):
+        arr = getattr(batch, name)
+        _line(f"history_batch/n={HISTORY_N}/{name}",
+              f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
     for suite, opts in SUITE_OPTS.items():
         report = verify.run_suite(suite, opts).to_dict()
         del report["elapsed_s"]

@@ -31,6 +31,11 @@ CHUNK = 16384
 # the per-network path's, 2^16 added 1.1 MB (2.5%); 2^14 halves the rows
 # and doubles the per-network time at n=2000.
 FORWARD_CELLS = 1 << 15
+# least replications per forward block: one rng.raw_block call per step
+# reads their words for all the sub-batches they span (several at n > 128,
+# where a call per sub-batch took 50% longer at n = 1000).  The words take
+# 8 * 256 * (n - 2) bytes.
+FORWARD_WORD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -317,17 +322,19 @@ def run_experiment(cfg: ExperimentConfig,
     """Run all replications, block by block in order, and summarize; with
     raw_csv also write the per-replication counts.
 
-    A chain source runs CHUNK replications of its kernel per block; the
-    forward source grows one lockstep sub-batch of FORWARD_CELLS lineage
-    slots per block and counts cfg.pattern_ids on it, and its replication
-    r is the network networks.generate grows on stream r + 1."""
+    A chain source runs CHUNK replications of its kernel per block.  A
+    forward block (at least FORWARD_WORD_ROWS replications) is grown in
+    sub-batches of FORWARD_CELLS lineage slots; replication r reads word
+    r of each step's stream-1 raw_block, so it shares no chain draw."""
     if cfg.source == "forward":
         components = cfg.pattern_ids
-        block = forward_rows(cfg.n)
+        block = max(forward_rows(cfg.n), FORWARD_WORD_ROWS)
 
         def work(lo, hi):
-            return patterns.count_batch(networks.generate_batch(
-                cfg.n, cfg.seed, range(lo + 1, hi + 1)), components)
+            return np.concatenate([
+                patterns.count_batch(batch, components) for batch in
+                networks.forward_batches(cfg.n, cfg.seed, lo, hi,
+                                         forward_rows(cfg.n))])
     else:
         table = chains.builtin_table(cfg.source)
         components = tuple(table.observables)

@@ -6,8 +6,8 @@ open lineage or a reticulation event to an ordered pair of distinct open
 lineages.  The log is the source of truth; the lineage-incidence
 structure and the node-level DAG are derived from it deterministically,
 and Network(log) is the one place a network is built: generate and
-enumerate_histories turn rows of slots into logs, and parse reads them
-from text.
+enumerate_histories turn step-major slot tables into logs, and parse
+reads them from text.
 
 Placement convention: a branching event replaces the chosen slot by the
 left child lineage and appends the right child; a reticulation event
@@ -24,7 +24,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .rng import stream_words
+from .rng import CounterStream, raw_block
 
 ENUM_MAX_LEAVES = 9
 
@@ -306,10 +306,11 @@ def validate(obj: Union[Network, NodeGraph]) -> List[str]:
 def generate(n: int, seed: int, stream: int = 0) -> Network:
     """Grow a network to n leaves; the pair at each step is drawn
     uniformly from the ell^2 ordered possibilities, from the word of that
-    step on the given stream of the seed."""
+    step on the given stream of the seed (rng.CounterStream)."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    return _network(_step_slots(n, seed, [stream])[0].tolist())
+    words = CounterStream(seed, stream).words(n - 2)
+    return _network(_slots(n, words[:, None])[:, 0].tolist())
 
 
 def _network(row: Sequence[Sequence[int]]) -> Network:
@@ -330,7 +331,7 @@ class LockstepBatch:
     3e+1 and 3e+2 and it leaves 3e+3 unused; a reticulation's outer
     lineages are 3e+1 and 3e+2 and its middle lineage is 3e+3.  Up to
     this relabelling of lineages, row r is the EventStructure of the
-    network generate grows on the row's stream.
+    network _network builds from the row's slots.
     """
 
     kind: np.ndarray        # (m, n-1) bool, True for a reticulation
@@ -339,26 +340,30 @@ class LockstepBatch:
     open_slots: np.ndarray  # (m, n) int32, the final lineages in slot order
 
 
-def _step_slots(n: int, seed: int, streams: Sequence[int]) -> np.ndarray:
-    """(m, n-2, 3) slots written at each step: the pair (i, j) chosen by
-    the rule divmod(word % ell^2, ell) from the step's word, where
-    i == j is a branching, and the appended slot ell."""
-    ell = np.arange(2, n, dtype=np.uint64)
-    v = stream_words(seed, streams, n - 2)
-    v %= ell * ell
-    slots = np.empty(v.shape + (3,), dtype=np.intp)
-    np.divmod(v, ell, out=(slots[..., 0], slots[..., 1]), casting="unsafe")
+def _slots(n: int, words: np.ndarray) -> np.ndarray:
+    """(n-2, m, 3) slots from (n-2, m) uint64 words, which are consumed:
+    at step ell the pair (i, j) = divmod(word % ell^2, ell), where i == j
+    is a branching, and the appended slot ell."""
+    ell = np.arange(2, n, dtype=np.uint64)[:, None]
+    words %= ell * ell
+    slots = np.empty(words.shape + (3,), dtype=np.intp)
+    np.divmod(words, ell, out=(slots[..., 0], slots[..., 1]), casting="unsafe")
     slots[..., 2] = ell
     return slots
 
 
-def generate_batch(n: int, seed: int, streams: Sequence[int]) -> LockstepBatch:
-    """The networks generate(n, seed, stream) for every stream, grown in
-    lockstep: each step applies the event of every row at once, from
-    the same words by the same rule."""
-    if n < 2:
-        raise ValueError("need at least 2 leaves")
-    return _grow(n, _step_slots(n, seed, streams))
+def forward_batches(n: int, seed: int, lo: int, hi: int,
+                    rows: int) -> Iterator[LockstepBatch]:
+    """Replications lo..hi-1 of the forward source in lockstep batches of
+    at most `rows` rows; replication r reads its step-ell word as word r
+    of one raw_block(seed, ell, ..., stream 1) call per step over the
+    4-aligned window around lo..hi-1, so any split gives the same rows."""
+    lo4, hi4 = lo - lo % 4, hi + -hi % 4
+    words = np.empty((n - 2, hi - lo), dtype=np.uint64)
+    for ell, row in enumerate(words, start=2):
+        row[:] = raw_block(seed, ell, lo4, hi4, 1)[lo - lo4:hi - lo4]
+    for a in range(0, hi - lo, rows):
+        yield _grow(n, _slots(n, words[:, a:a + rows]))
 
 
 def network_batch(network: Network) -> LockstepBatch:
@@ -368,23 +373,23 @@ def network_batch(network: Network) -> LockstepBatch:
     slots = np.array([(ev.position, ev.position, ell) if isinstance(ev, Branching)
                       else (ev.pos_a, ev.pos_b, ell)
                       for ell, ev in enumerate(network.log.events, start=2)],
-                     dtype=np.intp).reshape(1, -1, 3)
+                     dtype=np.intp).reshape(-1, 1, 3)
     return _grow(network.n_leaves, slots)
 
 
 def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
     """The lockstep batch whose row r applies, at step ell = 2..n-1, the
-    event of slots[r, ell-2] = (i, j, ell): a branching at slot i when
+    event of slots[ell-2, r] = (i, j, ell): a branching at slot i when
     i == j, else a reticulation at the pair (i, j).  The slot table is
     consumed: it is offset in place and freed before the consumer table
     is built."""
-    m = len(slots)
+    m = slots.shape[1]
     kind = np.zeros((m, n - 1), dtype=bool)
-    kind[:, 1:] = slots[..., 0] != slots[..., 1]
+    kind[:, 1:] = (slots[..., 0] != slots[..., 1]).T
     # per step, the lineages written to the three slots: 3e+1, 3e+2 and
     # 3e+3 for a reticulation; 3e+1, 3e+1 and 3e+2 for a branching
-    e = np.arange(1, n - 1, dtype=np.int32)
-    second = np.where(kind[:, 1:], 3 * e + 2, 3 * e + 1)
+    e = np.arange(1, n - 1, dtype=np.int32)[:, None]
+    second = np.where(kind[:, 1:].T, 3 * e + 2, 3 * e + 1)
     placed = np.stack((np.broadcast_to(3 * e + 1, second.shape), second,
                        second + 1), axis=2)
     # the initial branching consumes the root edge, lineage 0
@@ -392,13 +397,12 @@ def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
     open_slots = np.empty((m, n), dtype=np.int32)
     open_slots[:, :2] = (1, 2)
     rows = np.arange(m)[:, None]
-    # flat indices into open_slots: one index array per step is the
-    # cheapest fancy indexing when m is small (large n)
-    slots += n * rows[:, :, None]
+    # flat indices into open_slots, one step-major slice per step
+    slots += n * rows
     flat_open = open_slots.ravel()
     for step in range(n - 2):
-        consumed[:, step + 1] = flat_open[slots[:, step, :2]]
-        flat_open[slots[:, step]] = placed[:, step]
+        consumed[:, step + 1] = flat_open[slots[step, :, :2]]
+        flat_open[slots[step]] = placed[step]
     # the per-step tables are freed first: the batch's peak memory
     # bounds the forward source's
     del slots, second, placed
@@ -423,18 +427,16 @@ def check_enumerable(n: int) -> None:
 
 
 def _history_slots(n: int, lo: int, hi: int) -> np.ndarray:
-    """(hi-lo, n-2, 3) slots of histories lo..hi-1 of n leaves.
+    """(n-2, hi-lo, 3) slots of histories lo..hi-1 of n leaves.
 
     History h is read as a mixed-radix number whose digit at step ell
     is i*ell + j, with ell = 2 the most significant digit; its slots
     (i, j, ell) are the ones generate's rule gives for that digit."""
-    h = np.arange(lo, hi, dtype=np.int64)
-    slots = np.empty((hi - lo, n - 2, 3), dtype=np.intp)
+    h = np.arange(lo, hi, dtype=np.uint64)
+    digits = np.empty((n - 2, hi - lo), dtype=np.uint64)
     for ell in range(n - 1, 1, -1):
-        h, digit = np.divmod(h, ell * ell)
-        np.divmod(digit, ell, out=(slots[:, ell - 2, 0], slots[:, ell - 2, 1]))
-        slots[:, ell - 2, 2] = ell
-    return slots
+        h, digits[ell - 2] = np.divmod(h, ell * ell)
+    return _slots(n, digits)
 
 
 def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
@@ -446,7 +448,8 @@ def enumerate_histories(n: int) -> Iterator[Tuple[Network, Fraction]]:
     total = history_count(n)
     prob = Fraction(1, total)
     for lo in range(0, total, 4096):
-        for row in _history_slots(n, lo, min(lo + 4096, total)).tolist():
+        slots = _history_slots(n, lo, min(lo + 4096, total))
+        for row in slots.transpose(1, 0, 2).tolist():
             yield _network(row), prob
 
 

@@ -1,9 +1,12 @@
 """Deterministic counter-based random streams.
 
 Every random draw in this package is a pure function of (seed, stream,
-step, index), realised with the Philox-4x64 bit generator.  This makes
-replication exact: replaying a run with the same seed reproduces every
-draw, regardless of how the replications are split into blocks.
+step, index), realised with the Philox-4x64 bit generator keyed by the
+seed, which must lie in 0..2^64-1, and the stream.  raw_block gives a
+step's words for a block of replications (stream 0 for the chain kernel,
+1 for the forward source), so replaying a run with the same seed
+reproduces every draw however the replications are split into blocks;
+CounterStream gives one network's word per step.
 """
 
 from __future__ import annotations
@@ -18,47 +21,42 @@ _KEY_CONST = 0x9E3779B97F4A7C15  # fixed second key word
 _local = threading.local()
 
 
-def _key_word(stream: int) -> int:
-    return (_KEY_CONST ^ stream) & _M64
-
-
-def _rekeyed(seed: int, streams, counter: int = 0):
-    """For each stream in turn, this thread's generator in the state that
-    Philox(key=(seed, key word of stream), counter=counter) starts in.
+def _rekeyed(seed: int, stream: int, counter: int = 0):
+    """This thread's generator in the state that Philox(key=(seed,
+    (_KEY_CONST ^ stream) mod 2^64), counter=counter) starts in.
 
     Constructing a Philox from a key reads OS entropy for a seed sequence
     that the key then overrides; the generator here is made once per
     thread from a fixed seed, which reads none, and is re-keyed by
     assigning its state.  The state's arrays are Python-int lists, which
-    numpy's setter converts faster than uint64 arrays, and only the
-    stream's key word changes between streams."""
+    numpy's setter converts faster than uint64 arrays."""
+    seed = int(seed)
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed {seed} is outside 0..2^64-1")
     bg = getattr(_local, "bg", None)
     if bg is None:
         bg = _local.bg = np.random.Philox(0)
-    key = [int(seed) & _M64, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [counter & _M64, counter >> 64 & _M64,
-                                   counter >> 128 & _M64, counter >> 192],
-                       "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for stream in streams:
-        key[1] = _key_word(int(stream))
-        bg.state = state
-        yield bg
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": [counter & _M64, counter >> 64 & _M64,
+                                      counter >> 128 & _M64, counter >> 192],
+                          "key": [seed, (_KEY_CONST ^ int(stream)) & _M64]},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+    return bg
 
 
-def raw_block(seed: int, step: int, lo: int, hi: int) -> np.ndarray:
-    """uint64 words for replication indices lo..hi-1 at a given step.
+def raw_block(seed: int, step: int, lo: int, hi: int,
+              stream: int = 0) -> np.ndarray:
+    """uint64 words for replication indices lo..hi-1 at a given step of a
+    stream (0 for the chain kernel, 1 for the forward source).
 
     lo and hi must be multiples of 4 (Philox emits 4 words per counter
     block).  The word for replication r at a step is independent of the
-    block boundaries, so any 4-aligned chunking yields identical draws.
-    """
+    block boundaries, so any 4-aligned chunking yields identical draws."""
     if lo % 4 or hi % 4:
         raise ValueError("block bounds must be multiples of 4")
-    bg = next(_rekeyed(seed, (0,), (int(step) << 64) + (lo >> 2)))
-    return bg.random_raw(hi - lo)
+    counter = (int(step) << 64) + (int(lo) >> 2)
+    return _rekeyed(seed, stream, counter).random_raw(hi - lo)
 
 
 class CounterStream:
@@ -71,14 +69,4 @@ class CounterStream:
 
     def words(self, n_steps: int) -> np.ndarray:
         """Words for steps 0..n_steps-1, in one generator call."""
-        bg = next(_rekeyed(self.seed, (self.stream,)))
-        return bg.random_raw(4 * n_steps)[::4]
-
-
-def stream_words(seed: int, streams, n_steps: int) -> np.ndarray:
-    """(len(streams), n_steps) uint64 words; row s equals
-    CounterStream(seed, streams[s]).words(n_steps)."""
-    out = np.empty((len(streams), n_steps), dtype=np.uint64)
-    for row, bg in zip(out, _rekeyed(seed, streams)):
-        row[:] = bg.random_raw(4 * n_steps)[::4]
-    return out
+        return _rekeyed(self.seed, self.stream).random_raw(4 * n_steps)[::4]

@@ -45,6 +45,15 @@ def test_generate_usage_error():
     assert run(["generate", "--leaves", "1"]) == 1
 
 
+def test_generate_refuses_seeds_outside_64_bits(capsys):
+    # -1 and 2^64 would alias 2^64 - 1 and 0 as Philox keys
+    for seed in ("-1", str(2**64)):
+        assert run(["generate", "--leaves", "5", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"seed {seed} " in err and len(err.splitlines()) == 1
+    assert run(["generate", "--leaves", "5", "--seed", str(2**64 - 1)]) == 0
+
+
 def test_generate_dot(tmp_path):
     out = tmp_path / "net.dot"
     assert run(["generate", "--leaves", "8", "--seed", "2", "--format",

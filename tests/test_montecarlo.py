@@ -192,17 +192,48 @@ def test_run_experiment_trident_initial_and_small():
     assert abs(at_three.mean("trident") - 0.5) < 0.05
 
 
-def test_forward_source_is_generate_per_stream():
+def _forward_reference(n, seed, reps, ids):
+    """The forward source's histogram, one network at a time: replication
+    r reads word r of raw_block(seed, ell, ..., stream 1) at each step
+    ell, and the rule divmod(word % ell^2, ell) gives its slots."""
+    hi = (reps + 3) // 4 * 4
+    words = [rng.raw_block(seed, ell, 0, hi, stream=1).tolist()
+             for ell in range(2, n)]
+    return Counter(
+        patterns.count_catalog(networks._network(
+            [divmod(w[r] % (ell * ell), ell) + (ell,)
+             for ell, w in enumerate(words, start=2)]), ids)
+        for r in range(reps))
+
+
+def test_forward_source_is_scalar_reference():
     ids = tuple(sorted(patterns.catalog()))
     reps = 750  # not a multiple of 4; crosses a sub-batch boundary at n=30
     assert reps > mc.FORWARD_CELLS // (3 * 30 - 2)
     for n in (2, 3, 8, 30):
         cfg = mc.ExperimentConfig(source="forward", n=n, reps=reps, seed=5,
                                   pattern_ids=ids)
-        want = Counter(
-            patterns.count_catalog(networks.generate(n, 5, stream=r + 1), ids)
-            for r in range(reps))
+        want = _forward_reference(n, 5, reps, ids)
         assert mc.run_experiment(cfg).histogram == dict(want), n
+
+
+def test_forward_joint_histogram_matches_every_history_at_6():
+    """All 14 counts jointly against the exact law over the 14,400
+    histories of n = 6, by one chi-square over its 28 joint states."""
+    n, reps, ids = 6, 40_000, tuple(sorted(patterns.catalog()))
+    total = networks.history_count(n)
+    exact = Counter(map(tuple, patterns.count_batch(
+        networks.history_batch(n, 0, total), ids).tolist()))
+    s = mc.run_experiment(mc.ExperimentConfig(
+        source="forward", n=n, reps=reps, seed=23, pattern_ids=ids))
+    assert set(s.histogram) <= set(exact)
+    keys = sorted(exact)
+    expected = [reps * exact[key] / total for key in keys]
+    # every cell reaches MIN_EXPECTED, so none is pooled
+    assert len(keys) == 28 and min(expected) >= mc.MIN_EXPECTED
+    stat, df = gof.chi2_statistic([s.histogram.get(key, 0) for key in keys],
+                                  expected)
+    assert gof.chi2_sf(stat, df) > mc.P_THRESHOLD
 
 
 def test_forward_source_thread_independent():
@@ -232,6 +263,8 @@ def test_chain_block_reads_no_os_entropy(monkeypatch):
     # so that name is refused as well as the class's method.
     table = chains.builtin_table("b-i")
     want = mc._chain_block(table, 30, 5, 0, 64)
+    words = rng.CounterStream(5, 1).words(3)
+    forward = [b.consumer for b in networks.forward_batches(9, 5, 3, 70, 32)]
 
     def refuse(*args):
         raise AssertionError("read OS entropy")
@@ -240,8 +273,9 @@ def test_chain_block_reads_no_os_entropy(monkeypatch):
     monkeypatch.setattr(np.random.bit_generator, "randbits", refuse,
                         raising=False)
     assert (mc._chain_block(table, 30, 5, 0, 64) == want).all()
-    assert (rng.stream_words(5, [1, 2], 3)
-            == [rng.CounterStream(5, s).words(3) for s in (1, 2)]).all()
+    assert (rng.CounterStream(5, 1).words(3) == words).all()
+    assert all((b.consumer == c).all() for b, c in zip(
+        networks.forward_batches(9, 5, 3, 70, 32), forward, strict=True))
 
 
 def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
@@ -250,6 +284,21 @@ def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
     whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
     assert cfg.reps < mc.FORWARD_CELLS // (3 * cfg.n - 2)
     # two rows of 22 lineage slots per block; the last block has one row
+    monkeypatch.setattr(mc, "FORWARD_CELLS", 50)
+    split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
+    assert split.histogram == whole.histogram
+    assert (tmp_path / "split.csv").read_bytes() == \
+        (tmp_path / "whole.csv").read_bytes()
+
+
+def test_forward_word_window_changes_nothing(tmp_path, monkeypatch):
+    cfg = mc.ExperimentConfig(source="forward", n=8, reps=25, seed=9,
+                              pattern_ids=("cherry", "trident", "b-i"))
+    whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
+    assert cfg.reps < mc.FORWARD_WORD_ROWS
+    # words read for 6 replications at a time (windows not 4-aligned after
+    # the first), each window grown in sub-batches of two rows
+    monkeypatch.setattr(mc, "FORWARD_WORD_ROWS", 6)
     monkeypatch.setattr(mc, "FORWARD_CELLS", 50)
     split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
     assert split.histogram == whole.histogram

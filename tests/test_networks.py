@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtcnlab import networks as nw
+from rtcnlab import networks as nw, rng
 from rtcnlab.networks import Branching, EventLog, Network, Reticulation
 
 
@@ -67,7 +67,7 @@ def test_generate_rejects_small_n():
     with pytest.raises(ValueError):
         nw.generate(1, 0)
     with pytest.raises(ValueError):
-        nw.generate_batch(1, 0, [1])
+        list(nw.forward_batches(1, 0, 0, 1, 1))
 
 
 def _assert_row_is_relabelled(batch, r, s, n):
@@ -88,19 +88,37 @@ def _assert_row_is_relabelled(batch, r, s, n):
     assert batch.open_slots[r].tolist() == [slot[l] for l in s.open_slots]
 
 
-def test_generate_batch_is_generate_relabelled():
+def _forward_slots(n, seed, reps):
+    """The slot rows of forward replications 0..reps-1, read word by
+    word: replication r takes word r of each step's stream-1 raw_block."""
+    hi = (reps + 3) // 4 * 4
+    words = [rng.raw_block(seed, ell, 0, hi, stream=1).tolist()
+             for ell in range(2, n)]
+    return [[divmod(w[r] % (ell * ell), ell) + (ell,)
+             for ell, w in enumerate(words, start=2)] for r in range(reps)]
+
+
+def test_forward_batch_rows_are_their_networks_relabelled():
     for n in (2, 3, 9):
-        batch = nw.generate_batch(n, 7, range(1, 41))
-        for r in range(40):
-            s = nw.generate(n, 7, stream=r + 1).structure
-            _assert_row_is_relabelled(batch, r, s, n)
+        (batch,) = nw.forward_batches(n, 7, 0, 40, 40)
+        for r, row in enumerate(_forward_slots(n, 7, 40)):
+            _assert_row_is_relabelled(batch, r, nw._network(row).structure, n)
 
 
-def test_generate_batch_takes_numpy_streams():
-    streams = np.array([1, 2**64 - 1, 3], dtype=np.uint64)
-    batch = nw.generate_batch(5, 0, streams)
-    for r, stream in enumerate(streams):
-        _assert_row_is_relabelled(batch, r, nw.generate(5, 0, stream).structure, 5)
+def test_forward_batches_are_rows_of_one_batch():
+    # windows 3..9 and 9..10 are not 4-aligned; numpy bounds and seeds
+    # read the same words
+    seed = np.uint64(2**64 - 1)
+    (whole,) = nw.forward_batches(5, seed, 0, 12, 12)
+    for lo, hi, rows in ((np.int64(3), np.int64(9), 4), (9, 10, 1),
+                         (0, 12, 5)):
+        at = lo
+        for part in nw.forward_batches(5, seed, lo, hi, rows):
+            for name in ("kind", "consumed", "consumer", "open_slots"):
+                want = getattr(whole, name)[at:at + len(part.kind)]
+                assert (getattr(part, name) == want).all()
+            at += len(part.kind)
+        assert at == hi
 
 
 def test_history_batch_slices_are_rows_of_the_full_batch():
