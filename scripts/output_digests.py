@@ -13,6 +13,8 @@ The outputs are:
 - networks.generate's serialised network at a few (n, seed, stream),
   n = 1000 included, and the arrays of history_batch over every history
   of n = 6 (each with its dtype and shape);
+- patterns.count_batch's rows with every catalog id on every history of
+  n <= 6 and on the forward source's lockstep batches at n = 24 and 200;
 - the coupling report (n_max 6), the six statistical suites' reports
   (theorem1, theorem2a, theorem2b, theorem2c, prop3 and prop4) at
   n = 300, 20,000 replications and seed 4 (theorem2a's exact a-i mean
@@ -26,10 +28,13 @@ The outputs are:
 Run it with each checkout's src on PYTHONPATH and diff the two outputs.
 """
 
+import dataclasses
 import hashlib
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from rtcnlab import (chains, conjecture, montecarlo, networks, patterns,
                      verify)
@@ -42,6 +47,8 @@ FORWARD_RUN = (24, 2000, 3)
 GENERATE_RUNS = ((2, 0, 0), (5, 0, 0), (5, 2**64 - 1, 0), (30, 7, 3),
                  (200, 9, 2**64 - 1), (1000, 42, 0), (1000, 5, 1))
 HISTORY_N = 6
+# (n, seed, replications) of the forward batches that count_batch counts
+COUNT_FORWARD = ((24, 3, 2000), (200, 5, 600))
 MC_OPTS = {"n": 300, "reps": 20_000, "seed": 4}
 SUITE_OPTS = {"coupling": {"n_max": 6},
               **{suite: MC_OPTS for suite in ("theorem1", "theorem2a",
@@ -124,10 +131,18 @@ def main() -> int:
               networks.serialize(networks.generate(n, seed, stream)))
     batch = networks.history_batch(HISTORY_N, 0,
                                    networks.history_count(HISTORY_N))
-    for name in ("kind", "consumed", "consumer", "open_slots"):
-        arr = getattr(batch, name)
-        _line(f"history_batch/n={HISTORY_N}/{name}",
+    for field in dataclasses.fields(batch):
+        arr = getattr(batch, field.name)
+        _line(f"history_batch/n={HISTORY_N}/{field.name}",
               f"{arr.dtype}{arr.shape}".encode() + arr.tobytes())
+    batches = [networks.history_batch(n, 0, networks.history_count(n))
+               for n in range(2, HISTORY_N + 1)]
+    for n, seed, reps in COUNT_FORWARD:
+        batches += networks.forward_batches(n, seed, 0, reps,
+                                            montecarlo.forward_rows(n))
+    rows = np.concatenate([patterns.count_batch(b, ids) for b in batches])
+    _line(f"count_batch/histories<={HISTORY_N},forward={COUNT_FORWARD}",
+          f"{rows.dtype}{rows.shape}".encode() + rows.tobytes())
     for suite, opts in SUITE_OPTS.items():
         report = verify.run_suite(suite, opts).to_dict()
         del report["elapsed_s"]

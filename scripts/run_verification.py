@@ -27,7 +27,8 @@ def main(argv):
     failures = []
     for suite in verify.SUITES:
         t0 = time.time()
-        report = verify.run_suite(suite, dict(opts))
+        report = verify.run_suite(suite, {k: v for k, v in opts.items()
+                                          if k in verify.OPTIONS[suite]})
         path = outdir / f"{suite}.json"
         path.write_text(json.dumps(report.to_dict(), sort_keys=True,
                                    indent=2) + "\n")

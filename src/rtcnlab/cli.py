@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, conjecture, networks, patterns, verify
+from . import __version__, conjecture, networks, patterns, rng, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,30 +136,31 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-# the suites that read each flag; any other suite would ignore it
-_STATISTICAL_SUITES = {"theorem1", "theorem2a", "theorem2b", "theorem2c",
-                       "prop3", "prop4"}
-_FLAG_READERS = {"--reps": _STATISTICAL_SUITES,
-                 "--leaves": _STATISTICAL_SUITES | {"coupling"},
-                 "--sigma-file": {"moments", "prop4"}}
+# the option key that each flag sets, and the suites that read it; any
+# other suite would ignore the flag
+_FLAG_KEYS = {"--reps": "reps", "--leaves": "n", "--sigma-file": "sigma_file"}
+_FLAG_READERS = {flag: {suite for suite, keys in verify.OPTIONS.items()
+                        if key in keys}
+                 for flag, key in _FLAG_KEYS.items()}
 
 
 def cmd_verify(args) -> int:
-    for flag, value in (("--reps", args.reps), ("--leaves", args.leaves),
-                        ("--sigma-file", args.sigma_file)):
+    flags = {"--reps": args.reps, "--leaves": args.leaves,
+             "--sigma-file": args.sigma_file}
+    for flag, value in flags.items():
         if value is not None and args.suite not in _FLAG_READERS[flag]:
             raise UsageError(f"{flag} is not read by suite {args.suite!r}")
     if args.reps is not None and args.reps < 2:
         raise UsageError("--reps must be at least 2")
     if args.leaves is not None and args.leaves < 2:
         raise UsageError("--leaves must be at least 2")
-    opts = {"seed": args.seed}
-    if args.reps is not None:
-        opts["reps"] = args.reps
-    if args.leaves is not None:
-        opts["n"] = args.leaves
-    if args.sigma_file is not None:
-        opts["sigma_file"] = args.sigma_file
+    # a seed no run could use is refused by every suite, not only by
+    # those that draw
+    rng.check_seed(args.seed)
+    opts = {_FLAG_KEYS[flag]: value for flag, value in flags.items()
+            if value is not None}
+    if "seed" in verify.OPTIONS[args.suite]:
+        opts["seed"] = args.seed
     try:
         report = verify.run_suite(args.suite, opts)
     except KeyError:

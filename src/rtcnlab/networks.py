@@ -329,14 +329,15 @@ class LockstepBatch:
     the root edge and event e (event 0 is the initial branching)
     produces lineages 3e+1, 3e+2 and 3e+3.  A branching's children are
     3e+1 and 3e+2 and it leaves 3e+3 unused; a reticulation's outer
-    lineages are 3e+1 and 3e+2 and its middle lineage is 3e+3.  Up to
-    this relabelling of lineages, row r is the EventStructure of the
-    network _network builds from the row's slots.
+    lineages are 3e+1 and 3e+2 and its middle lineage is 3e+3.  The
+    external lineages are those in open_slots.  kind and consumed are
+    step-major: event e of row r is at [e, r].  Up to the relabelling
+    of lineages, row r is the EventStructure of the network _network
+    builds from the row's slots.
     """
 
-    kind: np.ndarray        # (m, n-1) bool, True for a reticulation
-    consumed: np.ndarray    # (m, n-1, 2) int32, -1 for a branching's second
-    consumer: np.ndarray    # (m, 3n-2) int32, -1 for an external lineage
+    kind: np.ndarray        # (n-1, m) bool, True for a reticulation
+    consumed: np.ndarray    # (n-1, m, 2) int32, -1 for a branching's second
     open_slots: np.ndarray  # (m, n) int32, the final lineages in slot order
 
 
@@ -381,36 +382,29 @@ def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
     """The lockstep batch whose row r applies, at step ell = 2..n-1, the
     event of slots[ell-2, r] = (i, j, ell): a branching at slot i when
     i == j, else a reticulation at the pair (i, j).  The slot table is
-    consumed: it is offset in place and freed before the consumer table
-    is built."""
+    consumed: it is offset in place."""
     m = slots.shape[1]
-    kind = np.zeros((m, n - 1), dtype=bool)
-    kind[:, 1:] = (slots[..., 0] != slots[..., 1]).T
+    kind = np.zeros((n - 1, m), dtype=bool)
+    kind[1:] = slots[..., 0] != slots[..., 1]
     # per step, the lineages written to the three slots: 3e+1, 3e+2 and
     # 3e+3 for a reticulation; 3e+1, 3e+1 and 3e+2 for a branching
     e = np.arange(1, n - 1, dtype=np.int32)[:, None]
-    second = np.where(kind[:, 1:].T, 3 * e + 2, 3 * e + 1)
+    second = np.where(kind[1:], 3 * e + 2, 3 * e + 1)
     placed = np.stack((np.broadcast_to(3 * e + 1, second.shape), second,
                        second + 1), axis=2)
     # the initial branching consumes the root edge, lineage 0
-    consumed = np.zeros((m, n - 1, 2), dtype=np.int32)
+    consumed = np.zeros((n - 1, m, 2), dtype=np.int32)
     open_slots = np.empty((m, n), dtype=np.int32)
     open_slots[:, :2] = (1, 2)
-    rows = np.arange(m)[:, None]
     # flat indices into open_slots, one step-major slice per step
-    slots += n * rows
+    slots += n * np.arange(m)[:, None]
     flat_open = open_slots.ravel()
     for step in range(n - 2):
-        consumed[:, step + 1] = flat_open[slots[step, :, :2]]
+        consumed[step + 1] = flat_open[slots[step, :, :2]]
         flat_open[slots[step]] = placed[step]
-    # the per-step tables are freed first: the batch's peak memory
-    # bounds the forward source's
-    del slots, second, placed
     # a branching's second consumed entry still repeats its first here
-    consumer = np.full((m, 3 * n - 2), -1, dtype=np.int32)
-    consumer[rows[:, :, None], consumed] = np.arange(n - 1, dtype=np.int32)[:, None]
-    consumed[:, :, 1][~kind] = -1
-    return LockstepBatch(kind, consumed, consumer, open_slots)
+    consumed[..., 1][~kind] = -1
+    return LockstepBatch(kind, consumed, open_slots)
 
 
 def history_count(n: int) -> int:

@@ -10,10 +10,11 @@ side swap).  Overlapping occurrences count separately.
 Three counting routes are provided: closed forms for the shipped catalog,
 a generic anchored matcher for arbitrary patterns, and a brute force
 embedding enumerator over arrays, used as the oracle in tests.  Each
-closed form is written once, as masks over per-event fringe properties
-that one class builds as bool arrays over a lockstep batch: count_batch
-evaluates several forms on a batch, count_catalog on the one-row batch
-of a network, and count_occurrences one id through count_catalog.
+closed form is written once, as masks over per-event fringe properties.
+They are evaluated once, on every 14-bit event code, into a count
+table: count_batch reads it at the code of every event of a lockstep
+batch, count_catalog on the one-row batch of a network, and
+count_occurrences one id through count_catalog.
 """
 
 from __future__ import annotations
@@ -412,63 +413,6 @@ def _divide(emb: int, aut: int) -> int:
 # -- closed-form counters for the catalog ----------------------------------
 
 
-class _BatchFringe:
-    """Per-event masks that the closed forms count, for every network of
-    a LockstepBatch: (m, n-1) bool arrays whose entry (r, e) is set when
-    event e of network r has the property.
-
-    cherry: a branching with both children external.  full: a
-    reticulation with all three produced lineages external.  For the
-    first consumed lineage x of an event, with producer p: bp_x, p is a
-    branching and x's sibling is external; ro_x, x is an outer lineage of
-    a reticulation p whose other two lineages are external; rm_x, x is
-    the middle lineage of a reticulation p whose outer lineages are
-    external.  The root edge has no producer p, and no mask that needs
-    one holds for it.  The _y masks are the same for the second
-    consumed lineage y; they, and distinct (x and y come from different
-    events), are meaningful only under full.  Among the full
-    reticulations whose x and y come from one event p: same_branch, p is
-    a branching; b_iv, x and y are an outer and the middle lineage of p
-    and p's other outer lineage is external; b_v, x and y are p's outer
-    lineages and its middle lineage is external.
-    """
-
-    def __init__(self, batch):
-        ext = batch.consumer < 0
-        retic = batch.kind
-        branch = ~retic
-        c1, c2, c3 = ext[:, 1::3], ext[:, 2::3], ext[:, 3::3]
-        self.cherry = branch & c1 & c2
-        self.full = retic & c1 & c2 & c3
-        x, y = batch.consumed[:, :, 0], batch.consumed[:, :, 1]
-        # per lineage: bp at 3e+1 and 3e+2, ro at 3e+1 and 3e+2, rm at 3e+3
-        lineage = np.zeros_like(ext)
-        lineage[:, 1::3], lineage[:, 2::3] = branch & c2, branch & c1
-        self.bp_x, self.bp_y = _at(lineage, x), _at(lineage, y)
-        lineage[:, 1::3], lineage[:, 2::3] = retic & c2 & c3, retic & c1 & c3
-        self.ro_x, self.ro_y = _at(lineage, x), _at(lineage, y)
-        lineage[:, 1::3], lineage[:, 2::3] = False, False
-        lineage[:, 3::3] = retic & c1 & c2
-        self.rm_x, self.rm_y = _at(lineage, x), _at(lineage, y)
-        ev_x, ev_y = (x - 1) // 3, (y - 1) // 3
-        self.distinct = ev_x != ev_y
-        same = self.full & ~self.distinct
-        self.same_branch = same & ~_at(retic, ev_x)
-        same_retic = same & _at(retic, ev_x)
-        one_mid = (x % 3 == 0) | (y % 3 == 0)
-        # the lineage of the shared event that the reticulation left
-        rem = np.where(same_retic, 9 * ev_x + 6 - x - y, 0)
-        self.b_iv = same_retic & one_mid & _at(ext, rem)
-        self.b_v = same_retic & ~one_mid & _at(ext, 3 * ev_x + 3)
-
-
-def _at(a, idx):
-    """a[r, idx[r, k]] for a C-contiguous a.  An index of -1 reads some
-    other cell of a; the callers mask those entries out."""
-    rows, width = a.shape
-    return a.ravel()[idx + width * np.arange(rows)[:, None]]
-
-
 # the catalog's closed forms: the masks of a fringe whose set entries,
 # each one event, are the occurrences
 _CLOSED_FORMS = {
@@ -487,22 +431,142 @@ _CLOSED_FORMS = {
     "h3-ci": lambda f: (f.full & f.ro_x & f.ro_y & f.distinct,),
     "h3-cii": lambda f: (f.full & f.rm_x & f.rm_y & f.distinct,),
 }
+_FORM_COLUMN = {pid: k for k, pid in enumerate(_CLOSED_FORMS)}
+_CODE_BITS = 14
+
+
+class _CodeFringe:
+    """The masks that the closed forms count, as bool arrays over every
+    event code (see _event_codes for its bits).
+
+    cherry: a branching with both children external.  full: a
+    reticulation with all three produced lineages external.  bp_x, ro_x,
+    rm_x, bp_y, ro_y, rm_y and distinct are the code's bits 4-10.
+    same_branch, b_iv and b_v are its bits 11-13 at a full reticulation
+    whose x and y come from one event."""
+
+    def __init__(self):
+        code = np.arange(1 << _CODE_BITS, dtype=np.uint16)
+        bits = [code & 1 << k != 0 for k in range(_CODE_BITS)]
+        retic, c1, c2, c3 = bits[:4]
+        self.cherry = ~retic & c1 & c2
+        self.full = retic & c1 & c2 & c3
+        (self.bp_x, self.ro_x, self.rm_x, self.bp_y, self.ro_y, self.rm_y,
+         self.distinct) = bits[4:11]
+        same = self.full & ~self.distinct
+        self.same_branch, self.b_iv, self.b_v = (same & b for b in bits[11:])
+
+
+@functools.cache
+def _pair_bits() -> np.ndarray:
+    """Bits 4-9 and 11-13 of an event's code (see _event_codes), indexed
+    by x | y << 8 for the lineage codes x and y of its two consumed
+    lineages.
+
+    A lineage's code is its producer's own code plus 16 times its
+    position: 0, 1 or 2 for lineage 3p+1, 3p+2 or 3p+3 of producer p.
+    The root edge, which has no producer, has code 0: no role."""
+    lin = np.arange(64)
+    retic, pos = lin & 1, lin >> 4
+    ext = [lin >> k & 1 for k in (1, 2, 3)]  # by position
+    # the other two lineages of the lineage's producer, the sibling first
+    a = np.where(pos == 0, ext[1], ext[0])
+    b = np.where(pos == 2, ext[1], ext[2])
+    outer = pos < 2
+    role = ((1 - retic) & outer & a
+            | (retic & outer & a & b) << 1
+            | (retic & (pos == 2) & a & b) << 2)
+    # y down the rows, x across the columns; bits 11-13 read x's
+    # producer as the one event both come from, so x and y hold two of
+    # its three positions and rem is the third
+    x, y = lin[None, :], lin[:, None]
+    one_mid = (pos[x] == 2) | (pos[y] == 2)
+    rem = np.clip(3 - pos[x] - pos[y], 0, 2)
+    same = (1 - retic[x]
+            | (retic[x] & one_mid & x >> 1 + rem) << 1
+            | (retic[x] & ~one_mid & x >> 3) << 2)
+    table = np.zeros((64, 256), dtype=np.int16)
+    table[:, :64] = role[x] << 4 | role[y] << 7 | same << 11
+    # cached tables are shared by every caller
+    table.flags.writeable = False
+    return table.ravel()
+
+
+def _event_codes(batch) -> np.ndarray:
+    """(n-1, m) int16 code of every event of a networks.LockstepBatch,
+    step-major like the batch: 14 bits that fix every closed form's
+    count at the event.
+
+    Bits 0-3, the event's own code: bit 0 is set for a reticulation,
+    bits 1, 2 and 3 when its produced lineage 3e+1, 3e+2 or 3e+3 is
+    external (3e+3 of a branching is unused, so never external).  Bits
+    4-6 are the roles bp, ro and rm of the first consumed lineage x and
+    bits 7-9 those of the second, y.  With p the lineage's producer: bp,
+    p is a branching and the lineage's sibling is external; ro, the
+    lineage is an outer lineage of a reticulation p whose other two
+    lineages are external; rm, it is the middle lineage of a
+    reticulation p whose outer lineages are external.  Bit 10 is set
+    when x and y come from different events.  Bits 11-13 read x's
+    producer p as the event both come from: p is a branching; x and y
+    are an outer and the middle lineage of a reticulation p whose other
+    outer lineage is external (b-iv); x and y are the outer lineages of
+    a reticulation p whose middle lineage is external (b-v).  The bits
+    of y, bit 10 and bits 11-13 hold some value for a branching, which
+    reads no y; the closed forms read them only under full."""
+    kind, consumed = batch.kind, batch.consumed
+    n_events, m = kind.shape
+    rows = np.arange(m)
+    # per lineage, lineage-major: lineage l of row r at l * m + r
+    ext = np.zeros((3 * n_events + 1, m), dtype=np.uint8)
+    ext.ravel()[batch.open_slots * np.intp(m) + rows[:, None]] = 1
+    own = (kind.view(np.uint8) | ext[1::3] << 1 | ext[2::3] << 2
+           | ext[3::3] << 3)
+    lin = ext
+    for pos in range(3):
+        np.add(own, 16 * pos, out=lin[1 + pos::3])
+    # x and y of each event side by side; a branching's y, -1, reads
+    # some lineage code
+    xy = consumed.reshape(n_events, 2 * m)
+    pair = lin.ravel()[xy * np.intp(m) + np.repeat(rows, 2)]
+    code = np.take(_pair_bits(), pair.view(np.uint16))
+    ev = (xy + 2) // 3
+    code |= np.left_shift(ev[:, 0::2] != ev[:, 1::2], 10, dtype=np.int16)
+    code |= own
+    return code
+
+
+@functools.cache
+def _count_table() -> np.ndarray:
+    """One 16-byte record per event code c: byte k is the occurrences of
+    the k-th closed form at an event of code c, its masks summed, and
+    bytes 14 and 15 are zero.  Built on first use; a gather by code
+    moves whole records."""
+    f = _CodeFringe()
+    table = np.zeros((1 << _CODE_BITS, 16), dtype=np.uint8)
+    for k, form in enumerate(_CLOSED_FORMS.values()):
+        for mask in form(f):
+            table[:, k] += mask
+    table.flags.writeable = False
+    return table.view("V16")[:, 0]
 
 
 def count_batch(batch, pattern_ids) -> np.ndarray:
     """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
-    on every network of a networks.LockstepBatch, from one build of its
-    fringe masks; row r equals the anchored matcher's counts on the
-    network of row r."""
+    on every network of a networks.LockstepBatch: the count table's
+    records gathered at every event's code and summed over the events,
+    then the ids' columns.  Row r equals the anchored matcher's counts on
+    the network of row r."""
     try:
-        forms = [_CLOSED_FORMS[pid] for pid in pattern_ids]
+        cols = [_FORM_COLUMN[pid] for pid in pattern_ids]
     except KeyError as err:
         raise KeyError(f"unknown pattern id {err.args[0]!r}") from None
-    f = _BatchFringe(batch)
-    out = np.empty((len(batch.kind), len(forms)), dtype=np.int64)
-    for k, form in enumerate(forms):
-        out[:, k] = sum(np.count_nonzero(m, axis=1) for m in form(f))
-    return out
+    table = _count_table()
+    codes = _event_codes(batch)
+    counts = np.take(table, codes).view(np.uint8).reshape(
+        codes.shape + (table.itemsize,))
+    # an event adds at most 2 to a count
+    acc = np.uint16 if len(codes) < 1 << 15 else np.int64
+    return counts.sum(axis=0, dtype=acc)[:, cols].astype(np.int64)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -21,6 +21,14 @@ _KEY_CONST = 0x9E3779B97F4A7C15  # fixed second key word
 _local = threading.local()
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; a ValueError unless it lies in 0..2^64-1."""
+    seed = int(seed)
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"seed {seed} is outside 0..2^64-1")
+    return seed
+
+
 def _rekeyed(seed: int, stream: int, counter: int = 0):
     """This thread's generator in the state that Philox(key=(seed,
     (_KEY_CONST ^ stream) mod 2^64), counter=counter) starts in.
@@ -30,9 +38,7 @@ def _rekeyed(seed: int, stream: int, counter: int = 0):
     thread from a fixed seed, which reads none, and is re-keyed by
     assigning its state.  The state's arrays are Python-int lists, which
     numpy's setter converts faster than uint64 arrays."""
-    seed = int(seed)
-    if not 0 <= seed <= _M64:
-        raise ValueError(f"seed {seed} is outside 0..2^64-1")
+    seed = check_seed(seed)
     bg = getattr(_local, "bg", None)
     if bg is None:
         bg = _local.bg = np.random.Philox(0)

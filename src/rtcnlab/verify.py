@@ -13,7 +13,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from . import chains, conjecture, montecarlo, moments, networks, patterns
 
@@ -64,23 +64,38 @@ def _sanitize(obj):
 
 
 SUITES: Dict[str, Callable[[dict], SuiteReport]] = {}
+# the option keys that each suite reads; it refuses any other
+OPTIONS: Dict[str, FrozenSet[str]] = {}
+_MC_KEYS = ("n", "reps", "seed")
 
 
-def _suite(body: Callable[[SuiteReport, dict], None]) -> Callable[[dict], SuiteReport]:
-    """Register suite_<name> under <name>.  The registered function takes
-    the options, runs body on a fresh report and records its wall time."""
-    name = body.__name__.removeprefix("suite_")
+def _suite(*keys: str):
+    """Register suite_<name> under <name>, reading the given option keys.
+    The registered function takes the options, refuses a key it does not
+    read with a ValueError, runs body on a fresh report and records its
+    wall time."""
 
-    @functools.wraps(body)
-    def run(opts: dict) -> SuiteReport:
-        rep = SuiteReport(name)
-        t0 = time.time()
-        body(rep, opts)
-        rep.elapsed_s = time.time() - t0
-        return rep
+    def register(body: Callable[[SuiteReport, dict], None]
+                 ) -> Callable[[dict], SuiteReport]:
+        name = body.__name__.removeprefix("suite_")
 
-    SUITES[name] = run
-    return run
+        @functools.wraps(body)
+        def run(opts: dict) -> SuiteReport:
+            unread = sorted(set(opts) - OPTIONS[name])
+            if unread:
+                raise ValueError(f"suite {name!r} reads no option "
+                                 f"{', '.join(map(repr, unread))}")
+            rep = SuiteReport(name)
+            t0 = time.time()
+            body(rep, opts)
+            rep.elapsed_s = time.time() - t0
+            return rep
+
+        SUITES[name] = run
+        OPTIONS[name] = frozenset(keys)
+        return run
+
+    return register
 
 
 def _mc_options(opts: dict, n: int) -> Tuple[int, int, int]:
@@ -114,7 +129,7 @@ def _merge_fit(report: SuiteReport, prefix: str, fit: montecarlo.FitReport):
 # -- exact suites ------------------------------------------------------------
 
 
-@_suite
+@_suite("n_max", "n", "chains")
 def suite_coupling(rep: SuiteReport, opts: dict) -> None:
     """Exact distributional identity between full history enumeration and
     the chain laws, for every leaf count up to the configured maximum.
@@ -149,7 +164,7 @@ def suite_coupling(rep: SuiteReport, opts: dict) -> None:
                     histories=total, states=len(law))
 
 
-@_suite
+@_suite("sigma_file")
 def suite_moments(rep: SuiteReport, opts: dict) -> None:
     """Mean closed forms against their recurrences, the mixed-moment
     pairing identity, and the leading toll constant of the shifted
@@ -256,7 +271,7 @@ def suite_moments(rep: SuiteReport, opts: dict) -> None:
             raw_psi_25=psi[25], trend_decreasing=trend)
 
 
-@_suite
+@_suite()
 def suite_conjecture(rep: SuiteReport, opts: dict) -> None:
     for mode in conjecture.BASE_MODES:
         got = conjecture.classify_catalog(mode)
@@ -267,7 +282,7 @@ def suite_conjecture(rep: SuiteReport, opts: dict) -> None:
     rep.add("base_modes_agree", both[0] == both[1])
 
 
-@_suite
+@_suite("trials", "n_max", "seed")
 def suite_matcher(rep: SuiteReport, opts: dict) -> None:
     """Closed-form counters against the brute force embedding oracle on a
     pile of random networks."""
@@ -292,7 +307,7 @@ def suite_matcher(rep: SuiteReport, opts: dict) -> None:
 # -- statistical suites --------------------------------------------------------
 
 
-@_suite
+@_suite(*_MC_KEYS)
 def suite_theorem1(rep: SuiteReport, opts: dict) -> None:
     """Central limit behaviour of the trident count at n=2000."""
     n, reps, seed = _mc_options(opts, n=2000)
@@ -311,7 +326,7 @@ _POISSON_LAMBDAS = {"b-i": Fraction(1, 8), "b-ii": Fraction(1, 28),
                     "b-v": Fraction(1, 28)}
 
 
-@_suite
+@_suite(*_MC_KEYS)
 def suite_theorem2b(rep: SuiteReport, opts: dict) -> None:
     """Poisson limits of the five sporadic height-2 patterns at n=1000."""
     n, reps, seed = _mc_options(opts, n=1000)
@@ -321,7 +336,7 @@ def suite_theorem2b(rep: SuiteReport, opts: dict) -> None:
         _merge_fit(rep, f"{pid}", fit)
 
 
-@_suite
+@_suite(*_MC_KEYS)
 def suite_theorem2a(rep: SuiteReport, opts: dict) -> None:
     """Degenerate patterns: vanishing occurrence fractions plus the exact
     small mean of the stacked-branching count."""
@@ -343,7 +358,7 @@ def suite_theorem2a(rep: SuiteReport, opts: dict) -> None:
             mean=mean, target=target, rel_error=float(rel))
 
 
-@_suite
+@_suite(*_MC_KEYS)
 def suite_theorem2c(rep: SuiteReport, opts: dict) -> None:
     """Normal limits of the two frequent height-2 patterns at n=2000."""
     n, reps, seed = _mc_options(opts, n=2000)
@@ -358,7 +373,7 @@ def suite_theorem2c(rep: SuiteReport, opts: dict) -> None:
         _merge_fit(rep, pid, fit)
 
 
-@_suite
+@_suite(*_MC_KEYS)
 def suite_prop3(rep: SuiteReport, opts: dict) -> None:
     """Joint law of (base count, cherry count) for the branch-plus-join
     pattern: independent Poisson(1/8) x Poisson(1/4)."""
@@ -368,7 +383,7 @@ def suite_prop3(rep: SuiteReport, opts: dict) -> None:
     _merge_fit(rep, "joint", fit)
 
 
-@_suite
+@_suite(*_MC_KEYS, "sigma_file")
 def suite_prop4(rep: SuiteReport, opts: dict) -> None:
     """Covariance structure of (overlap, base, trident) counts at n=2000,
     scaled by 1/n, against the limit matrix."""
@@ -381,6 +396,8 @@ def suite_prop4(rep: SuiteReport, opts: dict) -> None:
 
 
 def run_suite(suite: str, opts: Optional[dict] = None) -> SuiteReport:
+    """The report of a registered suite on the given options; a KeyError
+    for an unknown suite, a ValueError for a key it does not read."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
     return SUITES[suite](opts or {})

@@ -15,7 +15,6 @@ from rtcnlab import moments, verify
 
 REPS = 100_000
 SEED = verify.DEFAULTS["seed"]
-THREADS = 2
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -61,16 +60,14 @@ def test_criterion_02_mean_closed_forms():
 
 
 def test_criterion_03_trident_clt():
-    rep = verify.suite_theorem1({"n": 2000, "reps": REPS, "seed": SEED,
-                                 "threads": THREADS})
+    rep = verify.suite_theorem1({"n": 2000, "reps": REPS, "seed": SEED})
     detail = "; ".join(f"{c['name']}={c.get('value', '')!s:.12s}"
                        for c in rep.checks)
     report("3 trident CLT n=2000", rep.passed, detail)
 
 
 def test_criterion_04_poisson_rates():
-    rep = verify.suite_theorem2b({"n": 1000, "reps": REPS, "seed": SEED,
-                                  "threads": THREADS})
+    rep = verify.suite_theorem2b({"n": 1000, "reps": REPS, "seed": SEED})
     fails = [c["name"] for c in rep.checks if not c["passed"]]
     report("4 Poisson rates b-i..b-v", rep.passed,
            "all five chi-square fits and means" if rep.passed
@@ -78,8 +75,7 @@ def test_criterion_04_poisson_rates():
 
 
 def test_criterion_05_degenerate_patterns():
-    rep = verify.suite_theorem2a({"n": 1000, "reps": REPS, "seed": SEED,
-                                  "threads": THREADS, "mean_n": 200})
+    rep = verify.suite_theorem2a({"n": 1000, "reps": REPS, "seed": SEED})
     fracs = {c["name"]: c.get("fraction") for c in rep.checks
              if "fraction" in c}
     report("5 degenerate patterns", rep.passed,
@@ -87,10 +83,8 @@ def test_criterion_05_degenerate_patterns():
 
 
 def test_criterion_06_normal_limits_and_covariance():
-    rep_c = verify.suite_theorem2c({"n": 2000, "reps": REPS, "seed": SEED,
-                                    "threads": THREADS})
-    rep_s = verify.suite_prop4({"n": 2000, "reps": REPS, "seed": SEED,
-                                "threads": THREADS})
+    rep_c = verify.suite_theorem2c({"n": 2000, "reps": REPS, "seed": SEED})
+    rep_s = verify.suite_prop4({"n": 2000, "reps": REPS, "seed": SEED})
     fails = [c["name"] for c in rep_c.checks + rep_s.checks
              if not c["passed"]]
     report("6 normal limits + covariance matrix",
@@ -100,8 +94,7 @@ def test_criterion_06_normal_limits_and_covariance():
 
 
 def test_criterion_07_joint_independence():
-    rep = verify.suite_prop3({"n": 1000, "reps": REPS, "seed": SEED,
-                              "threads": THREADS})
+    rep = verify.suite_prop3({"n": 1000, "reps": REPS, "seed": SEED})
     detail = "; ".join(f"{c['name']}={c.get('value')}" for c in rep.checks)
     report("7 joint Poisson independence", rep.passed, detail)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
 from rtcnlab import cli, verify
 
@@ -286,6 +287,35 @@ def test_verify_flag_the_suite_does_not_read_is_usage_error(capsys):
         assert run(["verify", "--suite", suite, flag, "5"]) == 1
         err = capsys.readouterr().err
         assert err == f"usage error: {flag} is not read by suite '{suite}'\n"
+
+
+def test_verify_refuses_seeds_outside_64_bits(capsys):
+    # coupling and conjecture draw nothing, yet refuse the seed before
+    # they run
+    for argv, seed in (
+            (["--suite", "coupling", "--leaves", "4"], -1),
+            (["--suite", "coupling", "--leaves", "4"], 2**64),
+            (["--suite", "conjecture"], 2**64),
+            (["--suite", "theorem1", "--leaves", "10", "--reps", "2"], -1)):
+        assert run(["verify", *argv, "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == \
+            f"invalid input: seed {seed} is outside 0..2^64-1\n", argv
+
+
+def test_every_suite_refuses_options_it_does_not_read():
+    assert set(verify.OPTIONS) == set(verify.SUITES)
+    for suite in verify.SUITES:
+        with pytest.raises(ValueError, match=f"suite '{suite}' reads no "
+                                             f"option 'leaves'$"):
+            verify.run_suite(suite, {"leaves": 4})
+    # each flag is read by the suites whose options hold its key
+    assert cli._FLAG_READERS == {
+        "--reps": {"theorem1", "theorem2a", "theorem2b", "theorem2c",
+                   "prop3", "prop4"},
+        "--leaves": {"coupling", "theorem1", "theorem2a", "theorem2b",
+                     "theorem2c", "prop3", "prop4"},
+        "--sigma-file": {"moments", "prop4"}}
 
 
 def test_verify_coupling_leaves_above_guard_is_input_error(capsys):

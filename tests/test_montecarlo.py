@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -167,9 +168,12 @@ def test_fit_checks_report_pinned_thresholds():
 
 def test_theorem2a_reads_only_n_reps_and_seed():
     # max_fraction and mean_n are pinned, not options
-    report = verify.run_suite("theorem2a", {"n": 40, "reps": 400, "seed": 1,
-                                            "max_fraction": 0.5,
-                                            "mean_n": 50})
+    opts = {"n": 40, "reps": 400, "seed": 1}
+    with pytest.raises(ValueError, match="suite 'theorem2a' reads no option "
+                                         "'max_fraction', 'mean_n'$"):
+        verify.run_suite("theorem2a", {**opts, "max_fraction": 0.5,
+                                       "mean_n": 50})
+    report = verify.run_suite("theorem2a", opts)
     assert [c["threshold"] for c in report.checks[:3]] == [0.01] * 3
     assert report.checks[3]["target"]["den"] == "2000"
 
@@ -264,7 +268,7 @@ def test_chain_block_reads_no_os_entropy(monkeypatch):
     table = chains.builtin_table("b-i")
     want = mc._chain_block(table, 30, 5, 0, 64)
     words = rng.CounterStream(5, 1).words(3)
-    forward = [b.consumer for b in networks.forward_batches(9, 5, 3, 70, 32)]
+    forward = list(networks.forward_batches(9, 5, 3, 70, 32))
 
     def refuse(*args):
         raise AssertionError("read OS entropy")
@@ -274,8 +278,10 @@ def test_chain_block_reads_no_os_entropy(monkeypatch):
                         raising=False)
     assert (mc._chain_block(table, 30, 5, 0, 64) == want).all()
     assert (rng.CounterStream(5, 1).words(3) == words).all()
-    assert all((b.consumer == c).all() for b, c in zip(
-        networks.forward_batches(9, 5, 3, 70, 32), forward, strict=True))
+    for b, c in zip(networks.forward_batches(9, 5, 3, 70, 32), forward,
+                    strict=True):
+        assert all(np.array_equal(getattr(b, f.name), getattr(c, f.name))
+                   for f in dataclasses.fields(b))
 
 
 def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -70,7 +71,19 @@ def test_generate_rejects_small_n():
         list(nw.forward_batches(1, 0, 0, 1, 1))
 
 
-def _assert_row_is_relabelled(batch, r, s, n):
+# the axis of each array of a lockstep batch that runs over its rows:
+# kind and consumed are step-major
+ROW_AXIS = {"kind": 1, "consumed": 1, "open_slots": 0}
+
+
+def _rows(batch, lo, hi):
+    """Every array of a lockstep batch, cut to rows lo..hi-1."""
+    assert [f.name for f in dataclasses.fields(batch)] == list(ROW_AXIS)
+    return {name: np.take(getattr(batch, name), np.arange(lo, hi), axis=axis)
+            for name, axis in ROW_AXIS.items()}
+
+
+def _assert_row_is_relabelled(batch, r, s):
     """Row r of a lockstep batch is the EventStructure s, up to the
     relabelling of lineages."""
     # event e's k-th produced lineage sits in slot 3e+1+k
@@ -78,14 +91,11 @@ def _assert_row_is_relabelled(batch, r, s, n):
     for e, produced in enumerate(s.produced):
         for k, lineage in enumerate(produced):
             slot[lineage] = 3 * e + 1 + k
-    assert batch.kind[r].tolist() == [k == "R" for k in s.kinds]
-    assert batch.consumed[r].tolist() == [
+    row = _rows(batch, r, r + 1)
+    assert row["kind"][:, 0].tolist() == [k == "R" for k in s.kinds]
+    assert row["consumed"][:, 0].tolist() == [
         [slot[l] for l in c] + [-1] * (2 - len(c)) for c in s.consumed]
-    consumer = [-1] * (3 * n - 2)
-    for lineage, e in enumerate(s.consumer):
-        consumer[slot[lineage]] = e
-    assert batch.consumer[r].tolist() == consumer
-    assert batch.open_slots[r].tolist() == [slot[l] for l in s.open_slots]
+    assert row["open_slots"][0].tolist() == [slot[l] for l in s.open_slots]
 
 
 def _forward_slots(n, seed, reps):
@@ -102,7 +112,7 @@ def test_forward_batch_rows_are_their_networks_relabelled():
     for n in (2, 3, 9):
         (batch,) = nw.forward_batches(n, 7, 0, 40, 40)
         for r, row in enumerate(_forward_slots(n, 7, 40)):
-            _assert_row_is_relabelled(batch, r, nw._network(row).structure, n)
+            _assert_row_is_relabelled(batch, r, nw._network(row).structure)
 
 
 def test_forward_batches_are_rows_of_one_batch():
@@ -114,10 +124,11 @@ def test_forward_batches_are_rows_of_one_batch():
                          (0, 12, 5)):
         at = lo
         for part in nw.forward_batches(5, seed, lo, hi, rows):
-            for name in ("kind", "consumed", "consumer", "open_slots"):
-                want = getattr(whole, name)[at:at + len(part.kind)]
-                assert (getattr(part, name) == want).all()
-            at += len(part.kind)
+            m = len(part.open_slots)
+            want = _rows(whole, at, at + m)
+            for name, arr in _rows(part, 0, m).items():
+                assert np.array_equal(arr, want[name]), name
+            at += m
         assert at == hi
 
 
@@ -125,20 +136,20 @@ def test_history_batch_slices_are_rows_of_the_full_batch():
     for n in (2, 3, 5, 6):
         total = nw.history_count(n)
         full = nw.history_batch(n, 0, total)
-        assert full.kind.shape == (total, n - 1)
+        assert full.kind.shape == (n - 1, total)
         for lo, hi in ((0, 1), (total // 3, min(total // 3 + 7, total)),
                        (total - 1, total), (total, total)):
             part = nw.history_batch(n, lo, hi)
-            for name in ("kind", "consumed", "consumer", "open_slots"):
-                assert (getattr(part, name)
-                        == getattr(full, name)[lo:hi]).all(), (n, lo, name)
+            want = _rows(full, lo, hi)
+            for name, arr in _rows(part, 0, hi - lo).items():
+                assert np.array_equal(arr, want[name]), (n, lo, name)
 
 
 def test_history_batch_is_enumeration_relabelled():
     for n in (2, 3, 4, 5):
         batch = nw.history_batch(n, 0, nw.history_count(n))
         for r, (net, _) in enumerate(nw.enumerate_histories(n)):
-            _assert_row_is_relabelled(batch, r, net.structure, n)
+            _assert_row_is_relabelled(batch, r, net.structure)
 
 
 def test_history_batch_guards():

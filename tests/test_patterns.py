@@ -6,9 +6,11 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rtcnlab import montecarlo as mc
 from rtcnlab import networks as nw
 from rtcnlab import patterns as pt
 from rtcnlab.networks import Branching, EventLog, Network, Reticulation
@@ -290,6 +292,95 @@ def test_count_batch_on_histories_equals_scalar_counts():
         want = [[pt.count_occurrences_generic(net, spec) for spec in CAT.values()]
                 for net, _ in nw.enumerate_histories(n)]
         assert got.tolist() == want, n
+
+
+class _BatchFringe:
+    """Reference masks of every network of a LockstepBatch, built from
+    its consumed lineages alone: (m, n-1) bool arrays whose entry (r, e)
+    is set when event e of network r has the property.
+
+    cherry: a branching with both children external.  full: a
+    reticulation with all three produced lineages external.  For the
+    first consumed lineage x of an event, with producer p: bp_x, p is a
+    branching and x's sibling is external; ro_x, x is an outer lineage of
+    a reticulation p whose other two lineages are external; rm_x, x is
+    the middle lineage of a reticulation p whose outer lineages are
+    external.  The root edge has no producer p, and no mask that needs
+    one holds for it.  The _y masks are the same for the second
+    consumed lineage y; they, and distinct (x and y come from different
+    events), are meaningful only under full.  Among the full
+    reticulations whose x and y come from one event p: same_branch, p is
+    a branching; b_iv, x and y are an outer and the middle lineage of p
+    and p's other outer lineage is external; b_v, x and y are p's outer
+    lineages and its middle lineage is external.
+    """
+
+    def __init__(self, batch):
+        retic = batch.kind.T.copy()
+        consumed = batch.consumed.transpose(1, 0, 2).copy()
+        # external: consumed by no event (a branching's unused third
+        # lineage included)
+        ext = np.ones((len(retic), 3 * retic.shape[1] + 1), dtype=bool)
+        r, e, k = np.nonzero(consumed >= 0)
+        ext[r, consumed[r, e, k]] = False
+        branch = ~retic
+        c1, c2, c3 = ext[:, 1::3], ext[:, 2::3], ext[:, 3::3]
+        self.cherry = branch & c1 & c2
+        self.full = retic & c1 & c2 & c3
+        x, y = consumed[:, :, 0], consumed[:, :, 1]
+        # per lineage: bp at 3e+1 and 3e+2, ro at 3e+1 and 3e+2, rm at 3e+3
+        lineage = np.zeros_like(ext)
+        lineage[:, 1::3], lineage[:, 2::3] = branch & c2, branch & c1
+        self.bp_x, self.bp_y = _at(lineage, x), _at(lineage, y)
+        lineage[:, 1::3], lineage[:, 2::3] = retic & c2 & c3, retic & c1 & c3
+        self.ro_x, self.ro_y = _at(lineage, x), _at(lineage, y)
+        lineage[:, 1::3], lineage[:, 2::3] = False, False
+        lineage[:, 3::3] = retic & c1 & c2
+        self.rm_x, self.rm_y = _at(lineage, x), _at(lineage, y)
+        ev_x, ev_y = (x - 1) // 3, (y - 1) // 3
+        self.distinct = ev_x != ev_y
+        same = self.full & ~self.distinct
+        self.same_branch = same & ~_at(retic, ev_x)
+        same_retic = same & _at(retic, ev_x)
+        one_mid = (x % 3 == 0) | (y % 3 == 0)
+        # the lineage of the shared event that the reticulation left
+        rem = np.where(same_retic, 9 * ev_x + 6 - x - y, 0)
+        self.b_iv = same_retic & one_mid & _at(ext, rem)
+        self.b_v = same_retic & ~one_mid & _at(ext, 3 * ev_x + 3)
+
+
+def _at(a, idx):
+    """a[r, idx[r, k]] for a C-contiguous a.  An index of -1 reads some
+    other cell of a; the callers mask those entries out."""
+    rows, width = a.shape
+    return a.ravel()[idx + width * np.arange(rows)[:, None]]
+
+
+def _reference_counts(batch, ids):
+    """(m, len(ids)) counts of each closed form's reference masks."""
+    f = _BatchFringe(batch)
+    return np.array([sum(np.count_nonzero(m, axis=1)
+                         for m in pt._CLOSED_FORMS[pid](f))
+                     for pid in ids], dtype=np.int64).T
+
+
+def test_count_batch_equals_reference_masks():
+    ids = tuple(CAT)
+    batches = [nw.history_batch(n, 0, nw.history_count(n))
+               for n in range(2, 7)]
+    for n, seed, reps in ((24, 3, 1200), (200, 5, 300)):
+        batches += nw.forward_batches(n, seed, 0, reps, mc.forward_rows(n))
+    # the last host's counts are summed past 2^15 events
+    batches += [nw.network_batch(nw.generate(n, seed))
+                for n, seed in PINNED_HOSTS + ((1 << 15 | 2, 1),)]
+    batches.append(nw.network_batch(Network(NOT_FULL_H3_BI)))
+    for batch in batches:
+        want = _reference_counts(batch, ids)
+        assert (pt.count_batch(batch, ids) == want).all()
+        # any order and repetition of the ids reads the same columns
+        pick = [5, 0, 13, 5] + list(range(14))
+        assert (pt.count_batch(batch, [ids[k] for k in pick])
+                == want[:, pick]).all()
 
 
 def test_trivial_pattern_counts_external_lineages():
