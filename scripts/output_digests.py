@@ -9,7 +9,10 @@ The outputs are:
   c-i@50, b-i@120 and trident@300;
 - the run_experiment histograms and raw CSVs of every chain table at
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
-- the forward source's histogram at n = 24 with every catalog id;
+- the forward source's run_experiment histograms and raw CSVs with
+  every catalog id at (n, reps, seed) = (24, 2000, 3) and (200, 1000, 5),
+  where a window of words is 4 sub-batches and 216 rows, so the last
+  window is partial;
 - networks.generate's serialised network at a few (n, seed, stream),
   n = 1000 included, and the arrays of history_batch over every history
   of n = 6 (each with its dtype and shape);
@@ -43,7 +46,7 @@ from rtcnlab.networks import Branching, Reticulation
 EXACT_LAST = 20
 EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
 CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
-FORWARD_RUN = (24, 2000, 3)
+FORWARD_RUNS = ((24, 2000, 3), (200, 1000, 5))
 GENERATE_RUNS = ((2, 0, 0), (5, 0, 0), (5, 2**64 - 1, 0), (30, 7, 3),
                  (200, 9, 2**64 - 1), (1000, 42, 0), (1000, 5, 1))
 HISTORY_N = 6
@@ -120,12 +123,15 @@ def main() -> int:
                 name = f"mc/{cid}/n={n},reps={reps},seed={seed}"
                 _line(f"{name}/histogram", _histogram_text(summary))
                 _line(f"{name}/raw_csv", csv.read_bytes())
-    n, reps, seed = FORWARD_RUN
-    ids = tuple(patterns.catalog())
-    cfg = montecarlo.ExperimentConfig(source="forward", n=n, reps=reps,
-                                      seed=seed, pattern_ids=ids)
-    _line(f"forward/n={n},reps={reps},seed={seed},ids={len(ids)}",
-          _histogram_text(montecarlo.run_experiment(cfg)))
+        ids = tuple(patterns.catalog())
+        for n, reps, seed in FORWARD_RUNS:
+            cfg = montecarlo.ExperimentConfig(source="forward", n=n,
+                                              reps=reps, seed=seed,
+                                              pattern_ids=ids)
+            summary = montecarlo.run_experiment(cfg, raw_csv=str(csv))
+            name = f"forward/n={n},reps={reps},seed={seed},ids={len(ids)}"
+            _line(f"{name}/histogram", _histogram_text(summary))
+            _line(f"{name}/raw_csv", csv.read_bytes())
     for n, seed, stream in GENERATE_RUNS:
         _line(f"generate/n={n},seed={seed},stream={stream}",
               networks.serialize(networks.generate(n, seed, stream)))

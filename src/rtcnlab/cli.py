@@ -154,13 +154,19 @@ def cmd_verify(args) -> int:
         raise UsageError("--reps must be at least 2")
     if args.leaves is not None and args.leaves < 2:
         raise UsageError("--leaves must be at least 2")
+    if args.suite == "prop3" and args.reps is not None \
+            and args.reps < verify.PROP3_MIN_REPS:
+        raise UsageError(f"--reps must be at least {verify.PROP3_MIN_REPS} "
+                         f"for suite 'prop3'")
     # a seed no run could use is refused by every suite, not only by
     # those that draw
     rng.check_seed(args.seed)
     opts = {_FLAG_KEYS[flag]: value for flag, value in flags.items()
             if value is not None}
-    if "seed" in verify.OPTIONS[args.suite]:
-        opts["seed"] = args.seed
+    # the manifest records the seed of a suite that draws, else null
+    seed = args.seed if "seed" in verify.OPTIONS[args.suite] else None
+    if seed is not None:
+        opts["seed"] = seed
     try:
         report = verify.run_suite(args.suite, opts)
     except KeyError:
@@ -168,7 +174,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read {exc.filename}: {exc}") from None
     payload = _json_dump(report.to_dict())
-    cfg = {"suite": args.suite, "seed": args.seed, "reps": args.reps,
+    cfg = {"suite": args.suite, "seed": seed, "reps": args.reps,
            "leaves": args.leaves, "sigma_file": args.sigma_file,
            "out": args.out}
     _emit(payload, args.out, _manifest("verify", cfg))

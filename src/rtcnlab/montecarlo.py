@@ -3,13 +3,17 @@
 Replications are share-nothing: the draw for (replication r, step s) is a
 pure function of the seed, so results are bit-identical for a fixed
 configuration however the replications are split into blocks.  The
-blocks run in order in the calling thread; each block's count vectors
-are merged into an exact integer histogram by integer addition.  Every
-statistic is derived from that histogram.
+blocks run in order in the calling thread.  One Tally takes every
+block's count vectors: it reduces each block to its distinct rows and
+their counts, kept as arrays, and adds the counts of equal rows as
+integers, so the histogram is exact; its dict is built once, at the
+end, its keys in sorted order.  Every statistic is derived from that
+histogram.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,15 +30,21 @@ from .rng import raw_block
 # and 1.06 s at 32768, which raised its peak RSS from 44.8 MB to 46.9 MB.
 CHUNK = 16384
 # rows x lineage slots of one lockstep forward sub-batch.  It bounds the
-# memory the forward source adds: at n=24 with all 14 patterns, 2^15
-# cells (468 rows) left the peak RSS of a 45 MB process within 0.3% of
-# the per-network path's, 2^16 added 1.1 MB (2.5%); 2^14 halves the rows
-# and doubles the per-network time at n=2000.
+# memory the forward source adds.  Three runs of the n=24 job (16,384
+# networks, all 14 patterns) in a fresh process peaked at an RSS of
+# 37.4-37.7 MB with 2^14 or 2^15 cells (468 rows), 38.4 MB with 2^16; at
+# n=2000, 2^14 took 0.9-1.6 ms a network, 2^15 0.50-0.65 ms and 2^16
+# 0.45-0.53 ms (2-core Xeon).
 FORWARD_CELLS = 1 << 15
-# least replications per forward block: one rng.raw_block call per step
-# reads their words for all the sub-batches they span (several at n > 128,
-# where a call per sub-batch took 50% longer at n = 1000).  The words take
-# 8 * 256 * (n - 2) bytes.
+# a forward window, whose words one rng.raw_block call per step reads,
+# holds FORWARD_WINDOW whole sub-batches, or as many as fit in
+# FORWARD_WORD_ROWS rows where that is more (at n > 170).  The n=24 job
+# took a median 28.6 ms with windows of one sub-batch, 792 calls, and
+# 25.6-27.8 ms with 2, 4 or 8.  At n=1000, windows capped at 40, 60,
+# 120, 250 and 510 rows took 270, 224, 182, 159 and 138 us a network.
+# The cap bounds a window's digits, 4 bytes each there, to at most
+# 4 * 256 * (n - 2) bytes.
+FORWARD_WINDOW = 4
 FORWARD_WORD_ROWS = 256
 
 
@@ -299,16 +309,108 @@ def _chain_block(table: chains.TransitionTable, n_target: int, seed: int,
     return obs.T
 
 
-def _merge_counts(target: Dict[Tuple[int, ...], int], rows: np.ndarray) -> None:
-    """Add the distinct rows to target in sorted order (as np.unique
-    with axis=0 would give them), with their counts."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    start = np.ones(len(rows), dtype=bool)
-    start[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+# distinct rows a Tally holds before it reduces them together: at least
+# this many, and twice as many as its last reduction left
+TALLY_ROWS = 2048
+
+
+class Tally:
+    """Exact histogram of int64 count vectors, fed block by block.
+
+    Each block is reduced to its distinct rows and their counts, which
+    are kept as arrays; the kept blocks are reduced together again when
+    they pile up, and histogram() builds the dict once, its keys in
+    sorted order."""
+
+    def __init__(self):
+        self._rows: List[np.ndarray] = []
+        self._counts: List[np.ndarray] = []
+        self._held = 0
+        self._floor = TALLY_ROWS
+
+    def add(self, rows: np.ndarray) -> None:
+        """Count every row of an (m, k) integer array, k fixed per Tally."""
+        rows, counts = _distinct(np.asarray(rows, dtype=np.int64))
+        self._rows.append(rows)
+        self._counts.append(counts)
+        self._held += len(rows)
+        if self._held > self._floor:
+            self._reduce()
+            self._floor = max(TALLY_ROWS, 2 * self._held)
+
+    def _reduce(self) -> None:
+        if len(self._rows) > 1:
+            rows = np.concatenate(self._rows)
+            counts = np.concatenate(self._counts)
+            # the blocks are freed before the sort's scratch is taken
+            self._rows.clear()
+            self._counts.clear()
+            rows, counts = _distinct(rows, counts)
+            self._rows.append(rows)
+            self._counts.append(counts)
+            self._held = len(rows)
+
+    def histogram(self) -> Dict[Tuple[int, ...], int]:
+        """Every distinct row counted so far, as a tuple, in lexicographic
+        order, with its count."""
+        if not self._rows:
+            return {}
+        self._reduce()
+        return dict(zip(zip(*self._rows[0].T.tolist()),
+                        self._counts[0].tolist()))
+
+
+def _distinct(rows: np.ndarray, counts: Optional[np.ndarray] = None):
+    """The distinct rows of an (m, k) int64 array in lexicographic order,
+    and the summed counts of each (1 per row when counts is None).
+
+    The rows are sorted by their _packed words, which order as they do."""
+    if not len(rows):
+        return rows, np.zeros(0, dtype=np.int64)
+    words = _packed(rows)
+    # lexsort is a merge sort: on one word of 2,000 rows, 4 times slower
+    # than argsort
+    order = (words[:, 0].argsort() if words.shape[1] == 1
+             else np.lexsort(words.T[::-1]))
+    words = words[order]
+    start = np.empty(len(rows), dtype=bool)
+    start[0] = True
+    np.any(words[1:] != words[:-1], axis=1, out=start[1:])
     first = np.flatnonzero(start)
-    counts = np.diff(np.append(first, len(rows)))
-    for key, cnt in zip(map(tuple, rows[first].tolist()), counts.tolist()):
-        target[key] = target.get(key, 0) + cnt
+    if counts is None:
+        counts = np.diff(np.append(first, len(rows)))
+    else:
+        counts = np.add.reduceat(counts[order], first)
+    return rows[order[first]], counts
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """(m, w) uint64 words that sort lexicographically as the int64 rows
+    do: each column less its minimum, in the bits its range needs, packed
+    greedily into as few 64-bit words as keep the columns in order, the
+    first column highest.  A word, the sum of its columns' offsets times
+    their place values, is computed modulo 2^64 as rows @ place less
+    lo @ place."""
+    lo = rows.min(axis=0).view(np.uint64)
+    span = rows.max(axis=0).view(np.uint64) - lo
+    words: List[List[Tuple[int, int]]] = [[]]
+    used = 0
+    for c, s in enumerate(span.tolist()):
+        width = s.bit_length()
+        if used + width > 64:
+            words.append([])
+            used = 0
+        words[-1].append((c, width))
+        used += width
+    place = np.zeros((rows.shape[1], len(words)), dtype=np.uint64)
+    for w, cols in enumerate(words):
+        shift = 0
+        for c, width in reversed(cols):
+            # a constant column (width 0) may sit at shift 64; it adds 0
+            if width:
+                place[c, w] = 1 << shift
+            shift += width
+    return rows.view(np.uint64) @ place - lo @ place
 
 
 def forward_rows(n: int) -> int:
@@ -317,24 +419,36 @@ def forward_rows(n: int) -> int:
     return max(1, FORWARD_CELLS // (3 * n - 2))
 
 
+def forward_window(n: int) -> int:
+    """Rows of one forward window of n-leaf networks: FORWARD_WINDOW
+    sub-batches of forward_rows(n) rows, or as many whole ones as fit in
+    FORWARD_WORD_ROWS rows where that is more."""
+    rows = forward_rows(n)
+    return rows * max(FORWARD_WINDOW, FORWARD_WORD_ROWS // rows)
+
+
 def run_experiment(cfg: ExperimentConfig,
                    raw_csv: Optional[str] = None) -> SampleSummary:
     """Run all replications, block by block in order, and summarize; with
     raw_csv also write the per-replication counts.
 
     A chain source runs CHUNK replications of its kernel per block.  A
-    forward block (at least FORWARD_WORD_ROWS replications) is grown in
-    sub-batches of FORWARD_CELLS lineage slots; replication r reads word
-    r of each step's stream-1 raw_block, so it shares no chain draw."""
+    forward block is one window of forward_window(n) replications,
+    whose words are read by one raw_block call per step and which is
+    grown and counted in sub-batches of forward_rows(n) rows; replication
+    r reads word r of each step's stream-1 raw_block, so it shares no
+    chain draw.  One Tally takes the count vectors of every chain block
+    or forward sub-batch."""
     if cfg.source == "forward":
         components = cfg.pattern_ids
-        block = max(forward_rows(cfg.n), FORWARD_WORD_ROWS)
+        block = forward_window(cfg.n)
 
         def work(lo, hi):
-            return np.concatenate([
-                patterns.count_batch(batch, components) for batch in
-                networks.forward_batches(cfg.n, cfg.seed, lo, hi,
-                                         forward_rows(cfg.n))])
+            # map holds no sub-batch while it grows the next one
+            return map(functools.partial(patterns.count_batch,
+                                         pattern_ids=components),
+                       networks.forward_batches(cfg.n, cfg.seed, lo, hi,
+                                                forward_rows(cfg.n)))
     else:
         table = chains.builtin_table(cfg.source)
         components = tuple(table.observables)
@@ -342,20 +456,20 @@ def run_experiment(cfg: ExperimentConfig,
 
         def work(lo, hi):
             hi4 = (hi + 3) // 4 * 4
-            return _chain_block(table, cfg.n, cfg.seed, lo, hi4)[: hi - lo]
+            return [_chain_block(table, cfg.n, cfg.seed, lo, hi4)[: hi - lo]]
 
-    histogram: Dict[Tuple[int, ...], int] = {}
+    tally = Tally()
     block_rows = [] if raw_csv else None
     for lo in range(0, cfg.reps, block):
-        rows = work(lo, min(lo + block, cfg.reps))
-        _merge_counts(histogram, rows)
-        if block_rows is not None:
-            block_rows.append(rows)
+        for rows in work(lo, min(lo + block, cfg.reps)):
+            tally.add(rows)
+            if block_rows is not None:
+                block_rows.append(rows)
     if raw_csv:
         _write_raw_csv(raw_csv, components, block_rows)
     return SampleSummary(components=tuple(components), n=cfg.n,
                          reps=cfg.reps, seed=cfg.seed, source=cfg.source,
-                         histogram=histogram)
+                         histogram=tally.histogram())
 
 
 def _write_raw_csv(path: str, components, block_rows) -> None:

@@ -309,16 +309,17 @@ def generate(n: int, seed: int, stream: int = 0) -> Network:
     step on the given stream of the seed (rng.CounterStream)."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    words = CounterStream(seed, stream).words(n - 2)
-    return _network(_slots(n, words[:, None])[:, 0].tolist())
+    ell = np.arange(2, n, dtype=np.uint64)
+    digits = CounterStream(seed, stream).words(n - 2) % (ell * ell)
+    return _network(_slots(n, digits[:, None])[:, 0].tolist())
 
 
 def _network(row: Sequence[Sequence[int]]) -> Network:
     """The network whose event at step ell is given by the slots
-    row[ell-2] = (i, j, ell): Branching(i) when i == j, else
+    row[ell-2] = (i, j): Branching(i) when i == j, else
     Reticulation(i, j)."""
     return Network(EventLog(tuple(Branching(i) if i == j else Reticulation(i, j)
-                                  for i, j, _ in row)))
+                                  for i, j in row)))
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,8 @@ class LockstepBatch:
     produces lineages 3e+1, 3e+2 and 3e+3.  A branching's children are
     3e+1 and 3e+2 and it leaves 3e+3 unused; a reticulation's outer
     lineages are 3e+1 and 3e+2 and its middle lineage is 3e+3.  The
-    external lineages are those in open_slots.  kind and consumed are
+    external lineages are those in open_slots, which _grow returns as a
+    transposed view of its slot-major table.  kind and consumed are
     step-major: event e of row r is at [e, r].  Up to the relabelling
     of lineages, row r is the EventStructure of the network _network
     builds from the row's slots.
@@ -341,15 +343,14 @@ class LockstepBatch:
     open_slots: np.ndarray  # (m, n) int32, the final lineages in slot order
 
 
-def _slots(n: int, words: np.ndarray) -> np.ndarray:
-    """(n-2, m, 3) slots from (n-2, m) uint64 words, which are consumed:
-    at step ell the pair (i, j) = divmod(word % ell^2, ell), where i == j
-    is a branching, and the appended slot ell."""
-    ell = np.arange(2, n, dtype=np.uint64)[:, None]
-    words %= ell * ell
-    slots = np.empty(words.shape + (3,), dtype=np.intp)
-    np.divmod(words, ell, out=(slots[..., 0], slots[..., 1]), casting="unsafe")
-    slots[..., 2] = ell
+def _slots(n: int, digits: np.ndarray) -> np.ndarray:
+    """(n-2, m, 2) slots from (n-2, m) unsigned digits: at step ell the
+    digit d < ell^2 is the pair (i, j) = divmod(d, ell), where i == j is
+    a branching."""
+    ell = np.arange(2, n, dtype=digits.dtype)[:, None]
+    slots = np.empty(digits.shape + (2,), dtype=np.intp)
+    np.divmod(digits, ell, out=(slots[..., 0], slots[..., 1]),
+              casting="unsafe")
     return slots
 
 
@@ -358,53 +359,66 @@ def forward_batches(n: int, seed: int, lo: int, hi: int,
     """Replications lo..hi-1 of the forward source in lockstep batches of
     at most `rows` rows; replication r reads its step-ell word as word r
     of one raw_block(seed, ell, ..., stream 1) call per step over the
-    4-aligned window around lo..hi-1, so any split gives the same rows."""
+    4-aligned window around lo..hi-1, so any split gives the same rows.
+    The window keeps only each word's digit, word % ell^2, in the
+    narrowest unsigned type that holds every digit below (n-1)^2: up to
+    n = 257 that is 2 bytes, a quarter of a word, and _slots divides
+    2-byte digits faster."""
     lo4, hi4 = lo - lo % 4, hi + -hi % 4
-    words = np.empty((n - 2, hi - lo), dtype=np.uint64)
-    for ell, row in enumerate(words, start=2):
-        row[:] = raw_block(seed, ell, lo4, hi4, 1)[lo - lo4:hi - lo4]
+    digits = np.empty((n - 2, hi - lo),
+                      dtype=np.min_scalar_type((n - 1) ** 2 - 1))
+    for ell, row in enumerate(digits, start=2):
+        words = raw_block(seed, ell, lo4, hi4, 1)[lo - lo4:hi - lo4]
+        q = words // (ell * ell)  # words - q * ell^2 is words % ell^2,
+        q *= ell * ell            # and faster
+        np.subtract(words, q, out=row, casting="unsafe")
     for a in range(0, hi - lo, rows):
-        yield _grow(n, _slots(n, words[:, a:a + rows]))
+        yield _grow(n, _slots(n, digits[:, a:a + rows]))
 
 
 def network_batch(network: Network) -> LockstepBatch:
     """The one-row lockstep batch of a network: its event log as the
-    slot table of _grow, (i, i, ell) for a branching at slot i and
-    (i, j, ell) for a reticulation at the pair (i, j)."""
-    slots = np.array([(ev.position, ev.position, ell) if isinstance(ev, Branching)
-                      else (ev.pos_a, ev.pos_b, ell)
-                      for ell, ev in enumerate(network.log.events, start=2)],
-                     dtype=np.intp).reshape(-1, 1, 3)
+    slot table of _grow, (i, i) for a branching at slot i and (i, j) for
+    a reticulation at the pair (i, j)."""
+    slots = np.array([(ev.position, ev.position) if isinstance(ev, Branching)
+                      else (ev.pos_a, ev.pos_b) for ev in network.log.events],
+                     dtype=np.intp).reshape(-1, 1, 2)
     return _grow(network.n_leaves, slots)
 
 
 def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
     """The lockstep batch whose row r applies, at step ell = 2..n-1, the
-    event of slots[ell-2, r] = (i, j, ell): a branching at slot i when
-    i == j, else a reticulation at the pair (i, j).  The slot table is
-    consumed: it is offset in place."""
+    event of slots[ell-2, r] = (i, j): a branching at slot i when i == j,
+    else a reticulation at the pair (i, j).  The slot table is consumed:
+    it is turned into flat indices in place, once for all steps.
+
+    The open lineages are kept slot-major, slot s of row r at cell
+    s * m + r of an (n, m) table, so the slot ell that step ell appends
+    is one contiguous row.  No step reads or writes that row before
+    step ell, so every appended lineage is written before the loop."""
     m = slots.shape[1]
     kind = np.zeros((n - 1, m), dtype=bool)
-    kind[1:] = slots[..., 0] != slots[..., 1]
-    # per step, the lineages written to the three slots: 3e+1, 3e+2 and
-    # 3e+3 for a reticulation; 3e+1, 3e+1 and 3e+2 for a branching
-    e = np.arange(1, n - 1, dtype=np.int32)[:, None]
-    second = np.where(kind[1:], 3 * e + 2, 3 * e + 1)
-    placed = np.stack((np.broadcast_to(3 * e + 1, second.shape), second,
-                       second + 1), axis=2)
+    np.not_equal(slots[..., 0], slots[..., 1], out=kind[1:])
+    # event e = ell - 1 writes placed[ell-2] = (3e+1, second) to slots
+    # (i, j) and second + 1 to slot ell: second is 3e+2 for a
+    # reticulation and 3e+1 for a branching, whose j is i
+    placed = np.empty((n - 2, m, 2), dtype=np.int32)
+    placed[..., 0] = np.arange(4, 3 * n - 3, 3, dtype=np.int32)[:, None]
+    np.add(placed[..., 0], kind[1:], out=placed[..., 1])
     # the initial branching consumes the root edge, lineage 0
     consumed = np.zeros((n - 1, m, 2), dtype=np.int32)
-    open_slots = np.empty((m, n), dtype=np.int32)
-    open_slots[:, :2] = (1, 2)
-    # flat indices into open_slots, one step-major slice per step
-    slots += n * np.arange(m)[:, None]
-    flat_open = open_slots.ravel()
-    for step in range(n - 2):
-        consumed[step + 1] = flat_open[slots[step, :, :2]]
-        flat_open[slots[step]] = placed[step]
+    table = np.empty((n, m), dtype=np.int32)
+    table[:2] = ((1,), (2,))
+    np.add(placed[..., 1], 1, out=table[2:])
+    flat = table.ravel()
+    slots *= m
+    slots += np.arange(m)[:, None]
+    for step, idx in enumerate(slots):
+        consumed[step + 1] = flat[idx]
+        flat[idx] = placed[step]
     # a branching's second consumed entry still repeats its first here
     consumed[..., 1][~kind] = -1
-    return LockstepBatch(kind, consumed, open_slots)
+    return LockstepBatch(kind, consumed, table.T)
 
 
 def history_count(n: int) -> int:
@@ -421,11 +435,11 @@ def check_enumerable(n: int) -> None:
 
 
 def _history_slots(n: int, lo: int, hi: int) -> np.ndarray:
-    """(n-2, hi-lo, 3) slots of histories lo..hi-1 of n leaves.
+    """(n-2, hi-lo, 2) slots of histories lo..hi-1 of n leaves.
 
     History h is read as a mixed-radix number whose digit at step ell
     is i*ell + j, with ell = 2 the most significant digit; its slots
-    (i, j, ell) are the ones generate's rule gives for that digit."""
+    (i, j) are the ones generate's rule gives for that digit."""
     h = np.arange(lo, hi, dtype=np.uint64)
     digits = np.empty((n - 2, hi - lo), dtype=np.uint64)
     for ell in range(n - 1, 1, -1):

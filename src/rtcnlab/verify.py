@@ -25,6 +25,10 @@ DEFAULTS = {
 # which a degenerate pattern may occur, and the n of its exact a-i mean
 MAX_FRACTION = 0.01
 MEAN_N = 200
+# the least replications prop3's correlation check can pass on: it asks
+# |correlation| < CORR_THRESHOLD of counts whose correlation has standard
+# error 1/sqrt(reps), and Z_THRESHOLD of those must fit below it
+PROP3_MIN_REPS = round((montecarlo.Z_THRESHOLD / montecarlo.CORR_THRESHOLD) ** 2)
 
 
 @dataclass
@@ -146,14 +150,15 @@ def suite_coupling(rep: SuiteReport, opts: dict) -> None:
                for cid, t in tables.items()}
     laws = {cid: chains.exact_laws(t, n_max) for cid, t in tables.items()}
     for n in range(2, n_max + 1):
-        emp: Dict[str, Dict[tuple, int]] = {cid: {} for cid in chain_ids}
+        tallies = {cid: montecarlo.Tally() for cid in tables}
         total = networks.history_count(n)
         rows = montecarlo.forward_rows(n)
         for lo in range(0, total, rows):
             batch = networks.history_batch(n, lo, min(lo + rows, total))
             counts = patterns.count_batch(batch, names)
-            for cid in tables:
-                montecarlo._merge_counts(emp[cid], counts[:, columns[cid]])
+            for cid, tally in tallies.items():
+                tally.add(counts[:, columns[cid]])
+        emp = {cid: tally.histogram() for cid, tally in tallies.items()}
         exact = {cid: chains.observe_law(t, next(laws[cid]))
                  for cid, t in tables.items()}
         for cid in chain_ids:

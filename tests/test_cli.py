@@ -210,6 +210,35 @@ def test_verify_rejects_single_replication(capsys):
     assert "--reps" in capsys.readouterr().err
 
 
+def test_verify_manifest_seed_is_null_for_suites_that_draw_nothing(tmp_path):
+    for argv, seed in ((["--suite", "coupling", "--leaves", "4"], None),
+                       (["--suite", "moments"], None),
+                       (["--suite", "conjecture"], None),
+                       (["--suite", "theorem1", "--leaves", "10", "--reps",
+                         "50", "--seed", "7"], 7)):
+        out = tmp_path / "report.json"
+        assert run(["verify", *argv, "--out", str(out)]) in (0, 3), argv
+        manifest = json.loads((tmp_path / "report.json.manifest.json")
+                              .read_text())
+        jsonschema.validate(manifest, _schema("manifest.schema.json"))
+        assert (manifest["seed"], manifest["config"]["seed"]) == (seed, seed)
+
+
+def test_verify_prop3_refuses_too_few_replications(capsys):
+    # below (Z_THRESHOLD / CORR_THRESHOLD)^2 replications, 4 standard
+    # errors of the correlation exceed its threshold
+    assert verify.PROP3_MIN_REPS == 40_000
+    for reps in ("2000", "39999"):
+        assert run(["verify", "--suite", "prop3", "--leaves", "100",
+                    "--reps", reps]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("usage error: --reps must be at least "
+                                     "40000 for suite 'prop3'\n")
+    # other suites keep the floor of 2
+    assert run(["verify", "--suite", "theorem1", "--leaves", "10",
+                "--reps", "2000"]) in (0, 3)
+
+
 def test_verify_rejects_leaves_below_two(capsys):
     for leaves in ("1", "0", "-3"):
         assert run(["verify", "--suite", "coupling", "--leaves", leaves]) == 1

@@ -6,6 +6,7 @@ import random
 import threading
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def _forward_reference(n, seed, reps, ids):
              for ell in range(2, n)]
     return Counter(
         patterns.count_catalog(networks._network(
-            [divmod(w[r] % (ell * ell), ell) + (ell,)
+            [divmod(w[r] % (ell * ell), ell)
              for ell, w in enumerate(words, start=2)]), ids)
         for r in range(reps))
 
@@ -301,15 +302,31 @@ def test_forward_word_window_changes_nothing(tmp_path, monkeypatch):
     cfg = mc.ExperimentConfig(source="forward", n=8, reps=25, seed=9,
                               pattern_ids=("cherry", "trident", "b-i"))
     whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
-    assert cfg.reps < mc.FORWARD_WORD_ROWS
-    # words read for 6 replications at a time (windows not 4-aligned after
-    # the first), each window grown in sub-batches of two rows
-    monkeypatch.setattr(mc, "FORWARD_WORD_ROWS", 6)
-    monkeypatch.setattr(mc, "FORWARD_CELLS", 50)
+    assert cfg.reps < mc.forward_window(cfg.n)
+    # sub-batches of three rows, words read for three of them at a time:
+    # windows 0..9, 9..18 and 18..25, the last two not 4-aligned and the
+    # last one ending in a sub-batch of one row
+    monkeypatch.setattr(mc, "FORWARD_CELLS", 66)
+    monkeypatch.setattr(mc, "FORWARD_WINDOW", 3)
+    monkeypatch.setattr(mc, "FORWARD_WORD_ROWS", 0)
+    assert (mc.forward_rows(cfg.n), mc.forward_window(cfg.n)) == (3, 9)
     split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
     assert split.histogram == whole.histogram
     assert (tmp_path / "split.csv").read_bytes() == \
         (tmp_path / "whole.csv").read_bytes()
+
+
+def test_forward_window_rule():
+    # whole sub-batches, FORWARD_WINDOW of them at n = 24
+    assert mc.forward_rows(24) == 468
+    assert mc.forward_window(24) == 4 * 468
+    for n in (2, 24, 170, 171, 200, 1000, 2000):
+        assert mc.forward_window(n) % mc.forward_rows(n) == 0, n
+    # at large n a window reads at most FORWARD_WORD_ROWS = 256 rows'
+    # words, which bounds its memory, and still spans many sub-batches
+    assert mc.forward_rows(1000) == 10
+    assert mc.forward_window(1000) == 250
+    assert mc.forward_window(2000) == 255
 
 
 def test_thread_budget_starts_no_thread(monkeypatch):
@@ -449,6 +466,31 @@ def test_summary_sums_equal_scalar_sums(k, data):
     histogram = data.draw(st.dictionaries(st.tuples(*[_SUM_KEY] * k),
                                           st.integers(1, 10**6), max_size=30))
     _assert_sums_are_scalar_sums(histogram, k)
+
+
+_TALLY_VALUE = st.one_of(st.integers(-3, 3),
+                         st.integers(2**62 - 3, 2**62 + 3),
+                         st.integers(-2**62 - 3, -2**62 + 3),
+                         st.sampled_from([-2**63, 2**63 - 1]))
+
+
+@given(k=st.sampled_from([1, 2, 14]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_tally_is_a_dict_tally(k, data):
+    """Any blocks, empty ones included, counted as a dict of tuples
+    counts them, its keys in sorted order; a floor of 3 rows makes the
+    Tally reduce its blocks together whenever they hold more."""
+    blocks = data.draw(st.lists(
+        st.lists(st.tuples(*[_TALLY_VALUE] * k), max_size=8), max_size=10))
+    want = Counter(row for block in blocks for row in block)
+    with mock.patch.object(mc, "TALLY_ROWS", 3):
+        tally = mc.Tally()
+        for block in blocks:
+            tally.add(np.array(block, dtype=np.int64).reshape(-1, k))
+        got = tally.histogram()
+    assert got == want
+    assert list(got) == sorted(want)
+    assert all(type(x) is int for key in got for x in key)
 
 
 def test_summary_sums_at_the_int64_bound():

@@ -104,12 +104,13 @@ def _forward_slots(n, seed, reps):
     hi = (reps + 3) // 4 * 4
     words = [rng.raw_block(seed, ell, 0, hi, stream=1).tolist()
              for ell in range(2, n)]
-    return [[divmod(w[r] % (ell * ell), ell) + (ell,)
+    return [[divmod(w[r] % (ell * ell), ell)
              for ell, w in enumerate(words, start=2)] for r in range(reps)]
 
 
 def test_forward_batch_rows_are_their_networks_relabelled():
-    for n in (2, 3, 9):
+    # the window keeps digits in 1, 2 and 4 bytes at n = 9, 20 and 260
+    for n in (2, 3, 9, 20, 260):
         (batch,) = nw.forward_batches(n, 7, 0, 40, 40)
         for r, row in enumerate(_forward_slots(n, 7, 40)):
             _assert_row_is_relabelled(batch, r, nw._network(row).structure)
