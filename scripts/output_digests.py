@@ -10,9 +10,11 @@ The outputs are:
 - the run_experiment histograms and raw CSVs of every chain table at
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
 - the forward source's run_experiment histograms and raw CSVs with
-  every catalog id at (n, reps, seed) = (24, 2000, 3) and (200, 1000, 5),
-  where a window of words is 4 sub-batches and 216 rows, so the last
-  window is partial;
+  every catalog id at (n, reps, seed) = (24, 2000, 3), (24, 9000, 11)
+  and (200, 1000, 5): at n = 24 a window is 8 sub-batches of 468 rows,
+  so 9,000 replications span two whole windows and a partial one that
+  ends in a partial sub-batch, and at n = 200 a window is 8 sub-batches
+  of 54 rows, so the last of three windows is partial;
 - networks.generate's serialised network at a few (n, seed, stream),
   n = 1000 included, and the arrays of history_batch over every history
   of n = 6 (each with its dtype and shape);
@@ -46,7 +48,7 @@ from rtcnlab.networks import Branching, Reticulation
 EXACT_LAST = 20
 EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
 CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
-FORWARD_RUNS = ((24, 2000, 3), (200, 1000, 5))
+FORWARD_RUNS = ((24, 2000, 3), (24, 9000, 11), (200, 1000, 5))
 GENERATE_RUNS = ((2, 0, 0), (5, 0, 0), (5, 2**64 - 1, 0), (30, 7, 3),
                  (200, 9, 2**64 - 1), (1000, 42, 0), (1000, 5, 1))
 HISTORY_N = 6

@@ -13,7 +13,6 @@ histogram.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,22 +28,29 @@ from .rng import raw_block
 # time in ufunc dispatch.  chain_mc took 1.31 s at 8192, 1.07 s at 16384
 # and 1.06 s at 32768, which raised its peak RSS from 44.8 MB to 46.9 MB.
 CHUNK = 16384
-# rows x lineage slots of one lockstep forward sub-batch.  It bounds the
-# memory the forward source adds.  Three runs of the n=24 job (16,384
-# networks, all 14 patterns) in a fresh process peaked at an RSS of
-# 37.4-37.7 MB with 2^14 or 2^15 cells (468 rows), 38.4 MB with 2^16; at
-# n=2000, 2^14 took 0.9-1.6 ms a network, 2^15 0.50-0.65 ms and 2^16
-# 0.45-0.53 ms (2-core Xeon).
+# lineage slots, rows x (3n - 2), of one lockstep forward sub-batch,
+# which bound its memory up to n = 342.  With windows of 8 sub-batches
+# the n=24 job (16,384 networks, all 14 patterns) took a median 22.7 ms
+# with 2^14 cells, 19.8 ms with 2^15 (468 rows) and 18.1 ms with 2^16,
+# though a second sweep read 19.5-20.3 ms for both of the last two; its
+# traced peak was 0.80, 1.01 and 1.69 MB (2-vCPU Xeon).
 FORWARD_CELLS = 1 << 15
-# a forward window, whose words one rng.raw_block call per step reads,
-# holds FORWARD_WINDOW whole sub-batches, or as many as fit in
-# FORWARD_WORD_ROWS rows where that is more (at n > 170).  The n=24 job
-# took a median 28.6 ms with windows of one sub-batch, 792 calls, and
-# 25.6-27.8 ms with 2, 4 or 8.  At n=1000, windows capped at 40, 60,
-# 120, 250 and 510 rows took 270, 224, 182, 159 and 138 us a network.
-# The cap bounds a window's digits, 4 bytes each there, to at most
-# 4 * 256 * (n - 2) bytes.
-FORWARD_WINDOW = 4
+# a forward window, whose words one rng.raw_block call per step reads
+# and whose count vectors one Tally.add takes, holds FORWARD_WINDOW
+# whole sub-batches, or as many as fit in FORWARD_CELLS // 8 rows where
+# that is fewer (n <= 21), so its count rows (at most 144 bytes each)
+# stay near a sub-batch's size.  The n=24 job took a median 27.9, 23.4,
+# 20.5, 19.7, 19.8 and 19.1 ms with windows of 1, 2, 4, 6, 8 and 12
+# sub-batches, at a traced peak of 0.73, 0.79, 0.88, 0.96, 1.01 and
+# 1.10 MB.  From n = 343 on a sub-batch holds FORWARD_WORD_ROWS //
+# FORWARD_WINDOW = 32 rows, more than FORWARD_CELLS slots, so that
+# _grow's per-step calls serve more networks, and a window reads
+# FORWARD_WORD_ROWS rows' words, at most 4 * 256 * (n - 2) bytes.
+# Sub-batches of 16, 32, 43 and 64 rows took 0.147, 0.098, 0.097 and
+# 0.116 ms a network at n = 1000 (traced peak 1.48, 2.63, 3.39 and
+# 4.95 MB) and 0.279, 0.180, 0.157 and 0.148 ms at n = 2000 (2.65, 4.97,
+# 6.53 and 9.62 MB).
+FORWARD_WINDOW = 8
 FORWARD_WORD_ROWS = 256
 
 
@@ -415,16 +421,20 @@ def _packed(rows: np.ndarray) -> np.ndarray:
 
 def forward_rows(n: int) -> int:
     """Rows of one lockstep sub-batch of n-leaf networks: at most
-    FORWARD_CELLS lineage slots, and at least one row."""
-    return max(1, FORWARD_CELLS // (3 * n - 2))
+    FORWARD_CELLS lineage slots, but at least the
+    FORWARD_WORD_ROWS // FORWARD_WINDOW rows that amortise _grow's
+    per-step calls (more slots from n = 343 on)."""
+    return max(FORWARD_CELLS // (3 * n - 2),
+               FORWARD_WORD_ROWS // FORWARD_WINDOW)
 
 
 def forward_window(n: int) -> int:
     """Rows of one forward window of n-leaf networks: FORWARD_WINDOW
     sub-batches of forward_rows(n) rows, or as many whole ones as fit in
-    FORWARD_WORD_ROWS rows where that is more."""
+    FORWARD_CELLS // 8 rows where that is fewer (n <= 21), and at least
+    one."""
     rows = forward_rows(n)
-    return rows * max(FORWARD_WINDOW, FORWARD_WORD_ROWS // rows)
+    return rows * max(1, min(FORWARD_WINDOW, FORWARD_CELLS // 8 // rows))
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -435,20 +445,20 @@ def run_experiment(cfg: ExperimentConfig,
     A chain source runs CHUNK replications of its kernel per block.  A
     forward block is one window of forward_window(n) replications,
     whose words are read by one raw_block call per step and which is
-    grown and counted in sub-batches of forward_rows(n) rows; replication
-    r reads word r of each step's stream-1 raw_block, so it shares no
-    chain draw.  One Tally takes the count vectors of every chain block
-    or forward sub-batch."""
+    grown in sub-batches of forward_rows(n) rows, all counted into one
+    array by patterns.count_batches; replication r reads word r of each
+    step's stream-1 raw_block, so it shares no chain draw.  One Tally
+    takes the count vectors of every block, chain or forward, in one
+    call each."""
     if cfg.source == "forward":
         components = cfg.pattern_ids
         block = forward_window(cfg.n)
 
         def work(lo, hi):
-            # map holds no sub-batch while it grows the next one
-            return map(functools.partial(patterns.count_batch,
-                                         pattern_ids=components),
-                       networks.forward_batches(cfg.n, cfg.seed, lo, hi,
-                                                forward_rows(cfg.n)))
+            return [patterns.count_batches(
+                networks.forward_batches(cfg.n, cfg.seed, lo, hi,
+                                         forward_rows(cfg.n)),
+                components, hi - lo)]
     else:
         table = chains.builtin_table(cfg.source)
         components = tuple(table.observables)
@@ -465,6 +475,7 @@ def run_experiment(cfg: ExperimentConfig,
             tally.add(rows)
             if block_rows is not None:
                 block_rows.append(rows)
+        del rows  # not held while the next block is grown
     if raw_csv:
         _write_raw_csv(raw_csv, components, block_rows)
     return SampleSummary(components=tuple(components), n=cfg.n,

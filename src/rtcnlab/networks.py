@@ -363,7 +363,10 @@ def forward_batches(n: int, seed: int, lo: int, hi: int,
     The window keeps only each word's digit, word % ell^2, in the
     narrowest unsigned type that holds every digit below (n-1)^2: up to
     n = 257 that is 2 bytes, a quarter of a word, and _slots divides
-    2-byte digits faster."""
+    2-byte digits faster.  Each step's words are reduced as drawn:
+    copying 16 steps' words into one buffer and reducing them in one
+    call took 5.3 against 6.6 ms a 256-row window at n = 1000, but 0.8
+    against 0.5 ms a 3,744-row window at n = 24 (2-vCPU Xeon)."""
     lo4, hi4 = lo - lo % 4, hi + -hi % 4
     digits = np.empty((n - 2, hi - lo),
                       dtype=np.min_scalar_type((n - 1) ** 2 - 1))
@@ -412,7 +415,9 @@ def _grow(n: int, slots: np.ndarray) -> LockstepBatch:
     np.add(placed[..., 1], 1, out=table[2:])
     flat = table.ravel()
     slots *= m
-    slots += np.arange(m)[:, None]
+    # an (m, 2) addend, not (m, 1): the add then runs along 2m contiguous
+    # entries, not pairs, in half the time
+    slots += np.repeat(np.arange(m), 2).reshape(m, 2)
     for step, idx in enumerate(slots):
         consumed[step + 1] = flat[idx]
         flat[idx] = placed[step]

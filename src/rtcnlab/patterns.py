@@ -12,9 +12,10 @@ a generic anchored matcher for arbitrary patterns, and a brute force
 embedding enumerator over arrays, used as the oracle in tests.  Each
 closed form is written once, as masks over per-event fringe properties.
 They are evaluated once, on every 14-bit event code, into a count
-table: count_batch reads it at the code of every event of a lockstep
-batch, count_catalog on the one-row batch of a network, and
-count_occurrences one id through count_catalog.
+table: count_batches reads it at the code of every event of a run of
+lockstep batches, count_batch of one batch, count_catalog on the
+one-row batch of a network, and count_occurrences one id through
+count_catalog.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -516,9 +517,13 @@ def _event_codes(batch) -> np.ndarray:
     kind, consumed = batch.kind, batch.consumed
     n_events, m = kind.shape
     rows = np.arange(m)
-    # per lineage, lineage-major: lineage l of row r at l * m + r
+    # per lineage, lineage-major: lineage l of row r at l * m + r; each
+    # flat index is built in place in one intp buffer
     ext = np.zeros((3 * n_events + 1, m), dtype=np.uint8)
-    ext.ravel()[batch.open_slots * np.intp(m) + rows[:, None]] = 1
+    idx = batch.open_slots.astype(np.intp)
+    idx *= m
+    idx += rows[:, None]
+    ext.ravel()[idx] = 1
     own = (kind.view(np.uint8) | ext[1::3] << 1 | ext[2::3] << 2
            | ext[3::3] << 3)
     lin = ext
@@ -527,9 +532,21 @@ def _event_codes(batch) -> np.ndarray:
     # x and y of each event side by side; a branching's y, -1, reads
     # some lineage code
     xy = consumed.reshape(n_events, 2 * m)
-    pair = lin.ravel()[xy * np.intp(m) + np.repeat(rows, 2)]
-    code = np.take(_pair_bits(), pair.view(np.uint16))
-    ev = (xy + 2) // 3
+    idx = xy.astype(np.intp)
+    idx *= m
+    idx += np.repeat(rows, 2)
+    pair = lin.ravel()[idx]
+    # the pair table's index, x | y << 8, widened into the front of idx,
+    # which np.take would otherwise copy it into
+    at = idx.ravel()[:n_events * m].reshape(n_events, m)
+    at[:] = pair.view(np.uint16)
+    code = np.take(_pair_bits(), at)
+    # then each lineage's producer, event (l + 2) // 3 - 1, in int32
+    # (int64 division is three times slower) in the same buffer
+    ev = idx.view(np.int32).ravel()[:2 * n_events * m].reshape(n_events,
+                                                                2 * m)
+    np.add(xy, 2, out=ev)
+    ev //= 3
     code |= np.left_shift(ev[:, 0::2] != ev[:, 1::2], 10, dtype=np.int16)
     code |= own
     return code
@@ -552,21 +569,41 @@ def _count_table() -> np.ndarray:
 
 def count_batch(batch, pattern_ids) -> np.ndarray:
     """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
-    on every network of a networks.LockstepBatch: the count table's
-    records gathered at every event's code and summed over the events,
-    then the ids' columns.  Row r equals the anchored matcher's counts on
-    the network of row r."""
+    on every network of a networks.LockstepBatch.  Row r equals the
+    anchored matcher's counts on the network of row r."""
+    return count_batches((batch,), pattern_ids, batch.kind.shape[1])
+
+
+def count_batches(batches: Iterable, pattern_ids, m: int) -> np.ndarray:
+    """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
+    on the networks of an iterable of networks.LockstepBatch of one leaf
+    count, m rows in all, in order.  Each batch's count table records,
+    gathered at every event's code, are summed over its events into its
+    rows of one (m, 16) array, uint16 below 2^15 events; the ids'
+    columns are taken from it once.  No batch is held while the next one
+    is drawn."""
     try:
         cols = [_FORM_COLUMN[pid] for pid in pattern_ids]
     except KeyError as err:
         raise KeyError(f"unknown pattern id {err.args[0]!r}") from None
     table = _count_table()
-    codes = _event_codes(batch)
-    counts = np.take(table, codes).view(np.uint8).reshape(
-        codes.shape + (table.itemsize,))
-    # an event adds at most 2 to a count
-    acc = np.uint16 if len(codes) < 1 << 15 else np.int64
-    return counts.sum(axis=0, dtype=acc)[:, cols].astype(np.int64)
+    sums = None
+    a = 0
+    for batch in batches:
+        codes = _event_codes(batch)
+        if sums is None:
+            # an event adds at most 2 to a count
+            sums = np.empty((m, table.itemsize), dtype=np.uint16
+                            if len(codes) < 1 << 15 else np.int64)
+        b = a + codes.shape[1]
+        np.take(table, codes).view(np.uint8).reshape(
+            codes.shape + (table.itemsize,)).sum(axis=0, dtype=sums.dtype,
+                                                 out=sums[a:b])
+        a = b
+        del batch, codes
+    if a != m or sums is None:
+        raise ValueError(f"the batches hold {a} rows, not {m}")
+    return sums[:, cols].astype(np.int64)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -529,7 +529,7 @@ def test_coupling_sub_batch_boundaries(monkeypatch):
     want = verify.suite_coupling({"n_max": 6}).to_dict()["checks"]
     monkeypatch.setattr(montecarlo, "FORWARD_CELLS", 1000)
     for n in (5, 6):
-        rows = montecarlo.FORWARD_CELLS // (3 * n - 2)
+        rows = montecarlo.forward_rows(n)
         assert rows < networks.history_count(n)
         assert networks.history_count(n) % rows
     assert verify.suite_coupling({"n_max": 6}).to_dict()["checks"] == want

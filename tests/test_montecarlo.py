@@ -214,7 +214,7 @@ def _forward_reference(n, seed, reps, ids):
 def test_forward_source_is_scalar_reference():
     ids = tuple(sorted(patterns.catalog()))
     reps = 750  # not a multiple of 4; crosses a sub-batch boundary at n=30
-    assert reps > mc.FORWARD_CELLS // (3 * 30 - 2)
+    assert reps > mc.forward_rows(30)
     for n in (2, 3, 8, 30):
         cfg = mc.ExperimentConfig(source="forward", n=n, reps=reps, seed=5,
                                   pattern_ids=ids)
@@ -285,14 +285,34 @@ def test_chain_block_reads_no_os_entropy(monkeypatch):
                    for f in dataclasses.fields(b))
 
 
+def _split_run(cfg, path, monkeypatch):
+    """cfg's summary written to path, with the sizes of every
+    Tally.add call."""
+    sizes = []
+    add = mc.Tally.add
+
+    def spy(self, rows):
+        sizes.append(len(rows))
+        add(self, rows)
+
+    monkeypatch.setattr(mc.Tally, "add", spy)
+    summary = mc.run_experiment(cfg, raw_csv=str(path))
+    monkeypatch.setattr(mc.Tally, "add", add)
+    return summary, sizes
+
+
 def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
     cfg = mc.ExperimentConfig(source="forward", n=8, reps=25, seed=9,
                               pattern_ids=("cherry", "trident", "b-i"))
-    whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
-    assert cfg.reps < mc.FORWARD_CELLS // (3 * cfg.n - 2)
-    # two rows of 22 lineage slots per block; the last block has one row
+    whole, sizes = _split_run(cfg, tmp_path / "whole.csv", monkeypatch)
+    assert sizes == [25]
+    # sub-batches of two rows of 22 lineage slots, windows of three of
+    # them (50 // 8 rows); the last window is one row of one sub-batch
     monkeypatch.setattr(mc, "FORWARD_CELLS", 50)
-    split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
+    monkeypatch.setattr(mc, "FORWARD_WORD_ROWS", 0)
+    assert (mc.forward_rows(cfg.n), mc.forward_window(cfg.n)) == (2, 6)
+    split, sizes = _split_run(cfg, tmp_path / "split.csv", monkeypatch)
+    assert sizes == [6, 6, 6, 6, 1]
     assert split.histogram == whole.histogram
     assert (tmp_path / "split.csv").read_bytes() == \
         (tmp_path / "whole.csv").read_bytes()
@@ -301,16 +321,17 @@ def test_forward_block_size_changes_nothing(tmp_path, monkeypatch):
 def test_forward_word_window_changes_nothing(tmp_path, monkeypatch):
     cfg = mc.ExperimentConfig(source="forward", n=8, reps=25, seed=9,
                               pattern_ids=("cherry", "trident", "b-i"))
-    whole = mc.run_experiment(cfg, raw_csv=str(tmp_path / "whole.csv"))
-    assert cfg.reps < mc.forward_window(cfg.n)
-    # sub-batches of three rows, words read for three of them at a time:
-    # windows 0..9, 9..18 and 18..25, the last two not 4-aligned and the
-    # last one ending in a sub-batch of one row
-    monkeypatch.setattr(mc, "FORWARD_CELLS", 66)
+    whole, sizes = _split_run(cfg, tmp_path / "whole.csv", monkeypatch)
+    assert sizes == [25]
+    # sub-batches of three rows, windows of three of them, each counted
+    # by one Tally.add: 0..9, 9..18 and 18..25, the last two not
+    # 4-aligned and the last one ending in a sub-batch of one row
+    monkeypatch.setattr(mc, "FORWARD_CELLS", 72)
     monkeypatch.setattr(mc, "FORWARD_WINDOW", 3)
     monkeypatch.setattr(mc, "FORWARD_WORD_ROWS", 0)
     assert (mc.forward_rows(cfg.n), mc.forward_window(cfg.n)) == (3, 9)
-    split = mc.run_experiment(cfg, raw_csv=str(tmp_path / "split.csv"))
+    split, sizes = _split_run(cfg, tmp_path / "split.csv", monkeypatch)
+    assert sizes == [9, 9, 7]
     assert split.histogram == whole.histogram
     assert (tmp_path / "split.csv").read_bytes() == \
         (tmp_path / "whole.csv").read_bytes()
@@ -319,14 +340,23 @@ def test_forward_word_window_changes_nothing(tmp_path, monkeypatch):
 def test_forward_window_rule():
     # whole sub-batches, FORWARD_WINDOW of them at n = 24
     assert mc.forward_rows(24) == 468
-    assert mc.forward_window(24) == 4 * 468
-    for n in (2, 24, 170, 171, 200, 1000, 2000):
-        assert mc.forward_window(n) % mc.forward_rows(n) == 0, n
-    # at large n a window reads at most FORWARD_WORD_ROWS = 256 rows'
-    # words, which bounds its memory, and still spans many sub-batches
-    assert mc.forward_rows(1000) == 10
-    assert mc.forward_window(1000) == 250
-    assert mc.forward_window(2000) == 255
+    assert mc.forward_window(24) == 8 * 468
+    for n in (2, 3, 6, 10, 21, 22, 24, 170, 200, 342, 343, 1000, 2000):
+        rows, window = mc.forward_rows(n), mc.forward_window(n)
+        assert window % rows == 0, n
+        # a window's count rows stay within FORWARD_CELLS // 8 rows,
+        # unless one sub-batch holds more
+        assert window <= max(rows, mc.FORWARD_CELLS // 8), n
+    # at small n a window is one sub-batch
+    assert mc.forward_window(2) == mc.forward_rows(2) == 8192
+    assert mc.forward_window(10) == 3 * 1170
+    # from n = 343 on, a sub-batch holds FORWARD_WORD_ROWS //
+    # FORWARD_WINDOW = 32 rows, past FORWARD_CELLS lineage slots, and a
+    # window reads FORWARD_WORD_ROWS rows' words
+    assert (mc.forward_rows(342), mc.forward_rows(343)) == (32, 32)
+    assert 343 * 3 - 2 > mc.FORWARD_CELLS // 32
+    for n in (1000, 2000):
+        assert (mc.forward_rows(n), mc.forward_window(n)) == (32, 256)
 
 
 def test_thread_budget_starts_no_thread(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from rtcnlab import montecarlo as mc
 from rtcnlab import networks as nw
 from rtcnlab import patterns as pt
+from rtcnlab import rng
 from rtcnlab.networks import Branching, EventLog, Network, Reticulation
 from rtcnlab.patterns import PatternSpec
 
@@ -381,6 +382,104 @@ def test_count_batch_equals_reference_masks():
         pick = [5, 0, 13, 5] + list(range(14))
         assert (pt.count_batch(batch, [ids[k] for k in pick])
                 == want[:, pick]).all()
+    # several batches counted into one array: 468 + 468 + 264 rows
+    parts = list(nw.forward_batches(24, 3, 0, 1200, mc.forward_rows(24)))
+    assert [len(b.open_slots) for b in parts] == [468, 468, 264]
+    want = np.concatenate([_reference_counts(b, ids) for b in parts])
+    assert (pt.count_batches(iter(parts), ids, 1200) == want).all()
+    with pytest.raises(ValueError, match="hold 1200 rows, not 1201"):
+        pt.count_batches(iter(parts), ids, 1201)
+
+
+def _anchored_embeddings(plan, host, e):
+    """pt._embeddings with the pattern's last event mapped to host event
+    e only: every catalog shape has one maximal event, its last, which
+    every automorphism fixes, so this over plan.automorphisms is the
+    number of occurrences anchored at e."""
+    external = np.array(host.consumer) == -1
+
+    def rows(events, kind):
+        return np.array([host.consumed[f] + host.produced[f] for f in events],
+                        dtype=np.intp).reshape(-1, 3 if kind == "B" else 5)
+
+    lin = np.full((1, plan.n_lineages), -1, dtype=np.intp)
+    taken = np.zeros((1, len(host.consumer)), dtype=bool)
+    last = len(plan.kinds) - 1
+    for depth, kind in enumerate(plan.kinds):
+        events = [f for f in ([e] if depth == last else range(host.n_events))
+                  if host.kinds[f] == kind]
+        children = [pt._extend(lin, taken, rows(events, kind), *slots)
+                    for slots in plan.slots[depth]]
+        lin, taken = (np.concatenate(c) for c in zip(*children))
+    return int(np.count_nonzero(external[lin[:, plan.final]].all(axis=1)))
+
+
+def _code_witnesses():
+    """{code: [(n, slot rows, event)]}: the first two events of each
+    event code seen on every history of n <= 7 and on 20,000 forward
+    networks at n = 12 (seed 7), each with its network's slots."""
+    seen = {}
+    sources = [(n, nw._history_slots(n, lo, min(lo + (1 << 15),
+                                                 nw.history_count(n))))
+               for n in range(3, 8)
+               for lo in range(0, nw.history_count(n), 1 << 15)]
+    words = [rng.raw_block(7, ell, 0, 20_000, 1) for ell in range(2, 12)]
+    digits = np.array([w % (ell * ell) for ell, w in enumerate(words, 2)])
+    sources.append((12, nw._slots(12, digits)))
+    for n, slots in sources:
+        flat = pt._event_codes(nw._grow(n, slots.copy())).ravel()
+        # the first and the second place of each code, event-major
+        first = np.unique(flat, return_index=True)[1]
+        rest = np.ones(len(flat), dtype=bool)
+        rest[first] = False
+        second = np.flatnonzero(rest)[np.unique(flat[rest],
+                                                return_index=True)[1]]
+        for at in sorted(np.concatenate([first, second]).tolist()):
+            found = seen.setdefault(int(flat[at]), [])
+            if len(found) < 2:
+                e, r = divmod(at, slots.shape[1])
+                found.append((n, slots[:, r].tolist(), e))
+    return seen
+
+
+def test_count_table_is_the_anchored_brute_force(monkeypatch):
+    """Each event code's record in the count table is the brute force's
+    count of every catalog shape anchored at an event of that code, the
+    same at both of its witnesses."""
+    plans = {pid: pt._brute_plan(spec) for pid, spec in CAT.items()}
+    assert all(pt.maximal_events(spec) == [spec.height - 1]
+               for spec in CAT.values())
+    seen = _code_witnesses()
+    want = {}
+    for code, witnesses in seen.items():
+        counts = set()
+        for n, row, e in witnesses:
+            host = nw._network(row).structure
+            counts.add(tuple(
+                pt._divide(_anchored_embeddings(plans[pid], host, e),
+                           plans[pid].automorphisms)
+                for pid in pt._FORM_COLUMN))
+        assert len(counts) == 1, (code, witnesses)
+        want[code] = counts.pop()
+    # 5, 26, 91, 204 and 275 distinct codes at n = 3..7, 310 with n = 12
+    assert len(want) == 310
+    assert all(len(w) == 2 for w in seen.values())
+
+    def wrong(table):
+        records = table.view(np.uint8).reshape(-1, 16)
+        return [(code, pid) for code, counts in want.items()
+                for pid, k in pt._FORM_COLUMN.items()
+                if records[code, k] != counts[k]]
+
+    assert wrong(pt._count_table()) == []
+    # one mask dropped, one bit read from the wrong lineage, one shape's
+    # masks swapped for another's
+    for pid, form in (("c-ii", lambda f: (f.full & f.rm_x,)),
+                      ("a-i", lambda f: (f.cherry & f.bp_y,)),
+                      ("b-v", lambda f: (f.b_iv,))):
+        with monkeypatch.context() as patch:
+            patch.setitem(pt._CLOSED_FORMS, pid, form)
+            assert wrong(pt._count_table.__wrapped__()), pid
 
 
 def test_trivial_pattern_counts_external_lineages():
