@@ -6,7 +6,7 @@ Usage: python scripts/output_digests.py
 
 The outputs are:
 - the exact laws of every chain table at each n <= 20, and at a-i@80,
-  c-i@50, b-i@120 and trident@300;
+  c-i@50, c-ii@50, b-i@120 and trident@300;
 - the run_experiment histograms and raw CSVs of every chain table at
   (n, reps, seed) = (40, 1000, 3) and (300, 3000, 7);
 - the forward source's run_experiment histograms and raw CSVs with
@@ -46,7 +46,8 @@ from rtcnlab import (chains, conjecture, montecarlo, networks, patterns,
 from rtcnlab.networks import Branching, Reticulation
 
 EXACT_LAST = 20
-EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("b-i", 120), ("trident", 300))
+EXACT_LARGE = (("a-i", 80), ("c-i", 50), ("c-ii", 50), ("b-i", 120),
+               ("trident", 300))
 CHAIN_RUNS = ((40, 1000, 3), (300, 3000, 7))
 FORWARD_RUNS = ((24, 2000, 3), (24, 9000, 11), (200, 1000, 5))
 GENERATE_RUNS = ((2, 0, 0), (5, 0, 0), (5, 2**64 - 1, 0), (30, 7, 3),
