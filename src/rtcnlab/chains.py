@@ -409,74 +409,90 @@ def exact_distribution(table: TransitionTable, n_target: int
                        ) -> Dict[Tuple[int, ...], Fraction]:
     """Exact law of the tracked count vector at n_target leaves.
 
-    The law is an object array of Python-int weights over the bounding
-    box of its support (origin is the box's lowest state), over the
-    common denominator prod_{ell=2}^{n-1} ell^2, reduced only at the end.
-    A step evaluates the table's families on the box's int64 coordinate
-    grids, forms each change vector's numerator from its summed family
-    coefficients, adds weights x numerator into the grown box at that
-    vector's offset, then trims the edges that hold no mass.  The table's
-    proof makes the numerators >= 0 with sum n^2 at every feasible state
-    and every successor with a positive numerator feasible, so no state
-    is checked as it is reached.
+    The law is held on its reached states only: a (k, L) int64 array of
+    their coordinates, in row-major order of their bounding box, and a
+    length-L object vector of Python-int weights over the common
+    denominator prod_{ell=2}^{n-1} ell^2, reduced only at the end.  A
+    step evaluates the table's families at the L states and forms every
+    change vector's numerator at once, as the int64 product of the
+    (groups x families) coefficient matrix with those values.  Each group
+    with a nonzero numerator adds weights x numerator into a flat dense
+    box, the states' bounding box grown by the change vectors, at its
+    vector's offset; the destinations of nonzero numerators, read back in
+    row-major order, are the next reached states.  The box is only
+    written into and read back: its unreached cells cost an allocation
+    and no arithmetic.  The table's proof
+    makes the numerators >= 0 with sum n^2 at every feasible state and
+    every successor with a positive numerator feasible, so no state is
+    checked as it is reached.
     """
     for last in _propagate(table, n_target):
         pass
     return _law(*last)
 
 
-def _law(weights, live, origin, scale) -> Dict[Tuple[int, ...], Fraction]:
-    idx = np.nonzero(live)
-    states = (np.stack(idx, axis=1) + origin).tolist()
-    return {tuple(s): Fraction(w, scale) for s, w in zip(states, weights[idx])}
+def _law(weights, coords, scale) -> Dict[Tuple[int, ...], Fraction]:
+    return {tuple(s): Fraction(w, scale)
+            for s, w in zip(coords.T.tolist(), weights.tolist())}
 
 
 def _propagate(table: TransitionTable, n_max: int):
-    """(weights, live, origin, scale) of the law at n = 2, ..., n_max."""
+    """(weights, coords, scale) of the law at n = 2, ..., n_max: coords
+    the (k, L) reached states in row-major order, weights their L
+    Python-int weights over scale."""
     if n_max < 2:
         raise ValueError("need n_target >= 2")
     k = len(table.components)
-    # every law lives on feasible states, so the box's coordinates lie
-    # in [0, n] and |D| <= k*n: no family value, term or group sum
-    # reaches the total cell count times (k*n + 1)^2
+    # every reached state is feasible, so its coordinates and D lie in
+    # [0, n] and each family value in [0, (k*n + 1)^2); the load proves
+    # every coefficient of coefs >= 0 and each family's coefficients to
+    # sum to its cells, so every partial sum of coefs @ values stays
+    # below the total cell count times (k*n + 1)^2
     cells = sum(_cells(table.footprints[c] for c in table.components).values())
     if cells * (k * n_max + 1) ** 2 >= 2 ** 63:
         raise BudgetExceeded(f"n={n_max} is beyond the int64 grids of "
                              f"table {table.name}")
     deltas = np.array([d for d, _ in table.groups], dtype=np.int64).reshape(-1, k)
     lo = deltas.min(axis=0, initial=0)
-    grow = deltas.max(axis=0, initial=0) - lo
+    grow = deltas.max(axis=0, initial=0) - lo + 1
     offsets = deltas - lo
     fps = np.array([table.footprints[c] for c in table.components],
-                   dtype=np.int64).reshape((k,) + (1,) * k)
-    weights = np.ones((1,) * k, dtype=object)
-    live = np.ones((1,) * k, dtype=bool)
-    origin = np.array(table.initial, dtype=np.int64)
+                   dtype=np.int64)
+    column = {fam: f for f, fam in enumerate(table.families)}
+    coefs = np.zeros((len(table.groups), len(table.families)), dtype=np.int64)
+    for g, (_, terms) in enumerate(table.groups):
+        for fam, c in terms:
+            coefs[g, column[fam]] = c
+    coords = np.array(table.initial, dtype=np.int64).reshape(k, 1)
+    weights = np.ones(1, dtype=object)
     scale = 1
-    yield weights, live, origin, scale
+    yield weights, coords, scale
     for n in range(2, n_max):
-        coords = np.indices(live.shape) + origin.reshape(fps.shape)
-        xs = tuple(coords) + (n - (fps * coords).sum(axis=0),)
-        values = {fam: family_value(fam, xs) for fam in table.families}
-        new = np.zeros(tuple(live.shape + grow), dtype=object)
+        low = coords.min(axis=1)
+        shape = coords.max(axis=1) - low + grow
+        strides = np.cumprod(shape[::-1])[::-1] // shape
+        xs = tuple(coords) + (n - fps @ coords,)
+        nums = coefs @ np.array([family_value(fam, xs)
+                                 for fam in table.families])
+        fires = nums != 0
+        dest = strides @ coords + (offsets @ strides - strides @ low)[:, None]
+        # the box starts at zero, so the first fired group's products are
+        # assigned; a group's destinations are distinct, so += is exact
+        new = np.zeros(strides[0] * shape[0], dtype=object)
+        first, *rest = np.flatnonzero(fires.any(axis=1))
+        new[dest[first]] = weights * nums[first]
+        for g in rest:
+            new[dest[g]] += weights * nums[g]
         reached = np.zeros(new.shape, dtype=bool)
-        for (_, terms), offset in zip(table.groups, offsets):
-            num = sum(c * values[fam] for fam, c in terms)
-            fires = live & (num != 0)
-            if not fires.any():
-                continue
-            at = tuple(slice(d, d + s) for d, s in zip(offset, live.shape))
-            new[at] += weights * num
-            reached[at] |= fires
+        reached[dest[fires]] = True
         scale *= n * n
-        hit = np.nonzero(reached)
-        if len(hit[0]) > _MAX_STATES:
+        hit = np.flatnonzero(reached)
+        if len(hit) > _MAX_STATES:
             raise BudgetExceeded(
-                f"{len(hit[0])} states at n={n + 1} exceeds budget {_MAX_STATES}")
-        keep = tuple(slice(i.min(), i.max() + 1) for i in hit)
-        weights, live = new[keep], reached[keep]
-        origin = origin + lo + [s.start for s in keep]
-        yield weights, live, origin, scale
+                f"{len(hit)} states at n={n + 1} exceeds budget {_MAX_STATES}")
+        weights = new[hit]
+        coords = np.array(np.unravel_index(hit, shape)) + (low + lo)[:, None]
+        yield weights, coords, scale
 
 
 def observed_distribution(table: TransitionTable, n_target: int

@@ -249,6 +249,21 @@ def test_exact_distribution_matches_reference_walk():
             assert all(p > 0 for p in dist.values())
 
 
+def test_exact_distribution_matches_reference_walk_on_sparse_boxes():
+    # at n = 30 most of c-i's and c-ii's bounding box is unreached, so
+    # the engine's reached states and their row-major order are tested
+    # where they differ most from the box
+    for cid in ("c-i", "c-ii"):
+        table = chains.builtin_table(cid)
+        dist = chains.exact_distribution(table, 30)
+        assert dist == _reference_distribution(table, 30), cid
+        states = list(dist)
+        assert states == sorted(states), cid
+        box = np.prod([max(s[i] for s in states) - min(s[i] for s in states)
+                       + 1 for i in range(3)])
+        assert len(states) < box / 4, (cid, len(states), box)
+
+
 def test_exact_laws_equal_exact_distribution():
     for cid in chains.BUILTIN_IDS:
         table = chains.builtin_table(cid)
