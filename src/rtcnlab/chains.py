@@ -421,10 +421,9 @@ def exact_distribution(table: TransitionTable, n_target: int
     vector's offset; the destinations of nonzero numerators, read back in
     row-major order, are the next reached states.  The box is only
     written into and read back: its unreached cells cost an allocation
-    and no arithmetic.  The table's proof
-    makes the numerators >= 0 with sum n^2 at every feasible state and
-    every successor with a positive numerator feasible, so no state is
-    checked as it is reached.
+    and no arithmetic.  The table's proof makes the numerators >= 0 with
+    sum n^2 at every feasible state and every successor with a positive
+    numerator feasible, so no state is checked as it is reached.
     """
     for last in _propagate(table, n_target):
         pass
@@ -454,7 +453,7 @@ def _propagate(table: TransitionTable, n_max: int):
                              f"table {table.name}")
     deltas = np.array([d for d, _ in table.groups], dtype=np.int64).reshape(-1, k)
     lo = deltas.min(axis=0, initial=0)
-    grow = deltas.max(axis=0, initial=0) - lo + 1
+    grow = deltas.max(axis=0, initial=0) - lo
     offsets = deltas - lo
     fps = np.array([table.footprints[c] for c in table.components],
                    dtype=np.int64)
@@ -468,14 +467,15 @@ def _propagate(table: TransitionTable, n_max: int):
     scale = 1
     yield weights, coords, scale
     for n in range(2, n_max):
-        low = coords.min(axis=1)
-        shape = coords.max(axis=1) - low + grow
+        origin = coords.min(axis=1)
+        shape = coords.max(axis=1) - origin + 1 + grow
         strides = np.cumprod(shape[::-1])[::-1] // shape
         xs = tuple(coords) + (n - fps @ coords,)
         nums = coefs @ np.array([family_value(fam, xs)
                                  for fam in table.families])
         fires = nums != 0
-        dest = strides @ coords + (offsets @ strides - strides @ low)[:, None]
+        shift = offsets @ strides
+        dest = strides @ (coords - origin[:, None]) + shift[:, None]
         # the box starts at zero, so the first fired group's products are
         # assigned; a group's destinations are distinct, so += is exact
         new = np.zeros(strides[0] * shape[0], dtype=object)
@@ -491,7 +491,8 @@ def _propagate(table: TransitionTable, n_max: int):
             raise BudgetExceeded(
                 f"{len(hit)} states at n={n + 1} exceeds budget {_MAX_STATES}")
         weights = new[hit]
-        coords = np.array(np.unravel_index(hit, shape)) + (low + lo)[:, None]
+        coords = np.array(np.unravel_index(hit, shape))
+        coords += (origin + lo)[:, None]
         yield weights, coords, scale
 
 
