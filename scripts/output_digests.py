@@ -20,6 +20,11 @@ The outputs are:
   of n = 6 (each with its dtype and shape);
 - patterns.count_batch's rows with every catalog id on every history of
   n <= 6 and on the forward source's lockstep batches at n = 24 and 200;
+- patterns.count_occurrences off the closed forms: six non-catalog specs
+  of height 3 and six of height 4, drawn from a seeded random.Random and
+  kept when they occur on some generate(n, s) host, n = 2..40 and
+  s = 0..2, with their counts on all of those hosts; and every catalog
+  spec on every catalog pattern's own structure;
 - the coupling report (n_max 6), the six statistical suites' reports
   (theorem1, theorem2a, theorem2b, theorem2c, prop3 and prop4) at
   n = 300, 20,000 replications and seed 4 (theorem2a's exact a-i mean
@@ -36,6 +41,7 @@ Run it with each checkout's src on PYTHONPATH and diff the two outputs.
 import dataclasses
 import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -63,6 +69,12 @@ SUITE_OPTS = {"coupling": {"n_max": 6},
               "conjecture": {},
               "matcher": {"trials": 60, "n_max": 16, "seed": 4}}
 CLASSIFY_HEIGHT = 3
+# the generic count's specs: a seed, the heights and how many of each,
+# and the generate(n, s) hosts they are counted on
+GENERIC_SEED = 29
+GENERIC_HEIGHTS = (3, 4)
+GENERIC_PER_HEIGHT = 6
+GENERIC_HOSTS = tuple((n, s) for n in range(2, 41) for s in range(3))
 
 
 def _line(name: str, text) -> None:
@@ -89,6 +101,32 @@ def _event_sequences(k: int, height: int):
         for d in range(ell * ell):
             i, j = divmod(d, ell)
             yield head + (Branching(i) if i == j else Reticulation(i, j),)
+
+
+def _generic_text() -> str:
+    """Seeded non-catalog specs with their counts on every generic host,
+    each spec kept when it occurs on at least one host."""
+    hosts = [networks.generate(n, s) for n, s in GENERIC_HOSTS]
+    draw = random.Random(GENERIC_SEED)
+    kept = {height: [] for height in GENERIC_HEIGHTS}
+    while min(map(len, kept.values())) < GENERIC_PER_HEIGHT:
+        height = draw.choice(GENERIC_HEIGHTS)
+        k = draw.randint(1, height + 1)
+        events = []
+        for ell in range(k, k + height):
+            i, j = draw.randrange(ell), draw.randrange(ell)
+            events.append(Branching(i) if i == j else Reticulation(i, j))
+        try:
+            spec = patterns.PatternSpec(k, tuple(events))
+        except patterns.PatternError:
+            continue
+        if (len(kept[height]) == GENERIC_PER_HEIGHT
+                or patterns.resolve(spec)[0] is not None):
+            continue
+        counts = [patterns.count_occurrences(h, spec) for h in hosts]
+        if any(counts):
+            kept[height].append((repr(spec), counts))
+    return repr(kept)
 
 
 def _classify_text() -> str:
@@ -152,6 +190,11 @@ def main() -> int:
     rows = np.concatenate([patterns.count_batch(b, ids) for b in batches])
     _line(f"count_batch/histories<={HISTORY_N},forward={COUNT_FORWARD}",
           f"{rows.dtype}{rows.shape}".encode() + rows.tobytes())
+    _line(f"count_occurrences/generic,seed={GENERIC_SEED}", _generic_text())
+    cat = patterns.catalog()
+    _line("count_occurrences/catalog_on_catalog_structures",
+          repr([[patterns.count_occurrences(host.structure, spec)
+                 for spec in cat.values()] for host in cat.values()]))
     for suite, opts in SUITE_OPTS.items():
         report = verify.run_suite(suite, opts).to_dict()
         del report["elapsed_s"]
