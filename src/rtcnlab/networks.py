@@ -131,9 +131,6 @@ class EventStructure:
 
     # -- queries ------------------------------------------------------
 
-    def is_external(self, lineage: int) -> bool:
-        return self.consumer[lineage] == -1
-
     @property
     def n_events(self) -> int:
         return len(self.kinds)

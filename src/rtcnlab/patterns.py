@@ -7,10 +7,10 @@ relative ranks of pattern events are ignored, and occurrences are counted
 modulo the pattern's own symmetries (branching child swap, reticulation
 side swap).  Overlapping occurrences count separately.
 
-Three counting routes are provided: closed forms for the shipped catalog,
-a generic anchored matcher for arbitrary patterns, and a brute force
-embedding enumerator over arrays, used as the oracle in tests.  Each
-closed form is written once, as masks over per-event fringe properties.
+Two counting routes are provided: closed forms for the shipped catalog,
+and a brute force embedding enumerator over arrays for any pattern,
+which is also the oracle for the closed forms.  Each closed form is
+written once, as masks over per-event fringe properties.
 They are evaluated once, on every 14-bit event code, into a count
 table: count_batches reads it at the code of every event of a run of
 lockstep batches, count_batch of one batch, count_catalog on the
@@ -139,8 +139,7 @@ def _alignment_slots(pat: EventStructure, pe: int, swap: int) -> tuple:
     """Event pe's consumed then produced lineages under one alignment of
     its symmetry: swap exchanges a branching's children, or a
     reticulation's consumed pair and outer children together (the middle
-    child is fixed).  The canonical form, the anchored matcher and the
-    brute force share it."""
+    child is fixed).  The canonical form and the brute force share it."""
     if pat.kinds[pe] == "B":
         c1, c2 = pat.produced[pe]
         return pat.consumed[pe] + ((c2, c1) if swap else (c1, c2))
@@ -176,110 +175,7 @@ def canonicalize(p: PatternSpec) -> str:
                for swaps in itertools.product((0, 1), repeat=s.n_events))
 
 
-# -- generic matcher -------------------------------------------------------
-
-
-def _match_plan(s: EventStructure):
-    """Order pattern events so each one after the first touches a lineage
-    of an earlier event; connectivity guarantees such an order."""
-    E = s.n_events
-    adj = [set() for _ in range(E)]
-    for l in range(s.n_lineages):
-        pe, ce = s.prod_ev[l], s.consumer[l]
-        if pe != -1 and ce != -1:
-            adj[pe].add(ce)
-            adj[ce].add(pe)
-    order = [0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for f in sorted(adj[e]):
-                if f not in seen:
-                    seen.add(f)
-                    order.append(f)
-                    nxt.append(f)
-        frontier = nxt
-    return order
-
-
-def _count_embeddings(pat: EventStructure, net: EventStructure) -> int:
-    """Number of embeddings of the pattern into the host structure.
-
-    An embedding maps pattern events injectively to host events of the
-    same kind, preserving lineage incidence up to the event symmetries;
-    final pattern lineages must map to external host lineages.
-    """
-    E = pat.n_events
-    if E == 0:
-        return len(net.final_lineages())
-    order = _match_plan(pat)
-    pat_final = set(pat.final_lineages())
-
-    lin_map: Dict[int, int] = {}
-    used_ev = set()
-    used_lin = set()
-    count = 0
-
-    def bind(pl, nl, bound):
-        if pl in lin_map:
-            return lin_map[pl] == nl
-        if nl in used_lin:
-            return False
-        if pl in pat_final and not net.is_external(nl):
-            return False
-        lin_map[pl] = nl
-        used_lin.add(nl)
-        bound.append(pl)
-        return True
-
-    def try_event(pe, ne, swap, bound):
-        return all(bind(pl, nl, bound) for pl, nl in zip(
-            _alignment_slots(pat, pe, swap), net.consumed[ne] + net.produced[ne]))
-
-    def candidates(pe):
-        """Host events consistent with already-bound lineages."""
-        for l in pat.consumed[pe]:
-            if l in lin_map:
-                ne = net.consumer[lin_map[l]]
-                return [ne] if ne != -1 else []
-        for l in pat.produced[pe]:
-            if l in lin_map:
-                ne = net.prod_ev[lin_map[l]]
-                return [ne] if ne != -1 else []
-        return [e for e in range(net.n_events) if net.kinds[e] == pat.kinds[pe]]
-
-    def rec(i):
-        nonlocal count
-        if i == E:
-            count += 1
-            return
-        pe = order[i]
-        for ne in candidates(pe):
-            if ne in used_ev or net.kinds[ne] != pat.kinds[pe]:
-                continue
-            # branching: child swap; reticulation: joint side swap (the
-            # consumed pair and outer children swap together, the middle
-            # child is fixed)
-            for swap in (0, 1):
-                bound: List[int] = []
-                used_ev.add(ne)
-                if try_event(pe, ne, swap, bound):
-                    rec(i + 1)
-                for pl in bound:
-                    used_lin.discard(lin_map.pop(pl))
-                used_ev.discard(ne)
-
-    rec(0)
-    return count
-
-
-def count_occurrences_generic(network: Union[Network, EventStructure],
-                              p: PatternSpec) -> int:
-    net = network.structure if isinstance(network, Network) else network
-    pat = p.structure
-    return _divide(_count_embeddings(pat, net), _count_embeddings(pat, pat))
+# -- brute force -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -385,23 +281,30 @@ def _extend(lin, taken, hosts, bpos, bpl, fpos, fpl):
     return lin, taken
 
 
+def count_occurrences_generic(network: Union[Network, EventStructure],
+                              p: PatternSpec) -> int:
+    """Occurrences of any pattern on a network or a bare structure, with
+    no guard: the external lineages at height 0, otherwise _embeddings of
+    the pattern into the host over its automorphisms."""
+    net = network.structure if isinstance(network, Network) else network
+    if p.height == 0:
+        return len(net.final_lineages())
+    plan = _brute_plan(p)
+    return _divide(_embeddings(plan, net), plan.automorphisms)
+
+
 def count_occurrences_bruteforce(network: Union[Network, EventStructure],
                                  p: Union[str, PatternSpec]) -> int:
-    """Oracle: enumerate injective event maps in pattern rank order, trying
-    every host event of the right kind under both symmetry alignments,
-    then divide the consistent embeddings by the automorphism count (the
-    same enumeration, pattern into itself).  Unlike the anchored matcher
-    this never uses incidence to pick candidates, only to reject them."""
+    """Oracle: count_occurrences_generic behind the guards, height <=
+    BRUTE_MAX_HEIGHT and <= BRUTE_MAX_LEAVES leaves.  Incidence never
+    picks a host event's candidates, it only rejects them."""
     p = catalog()[p] if isinstance(p, str) else p
     net = network.structure if isinstance(network, Network) else network
     if p.height > BRUTE_MAX_HEIGHT:
         raise PatternError(f"brute force guard: height <= {BRUTE_MAX_HEIGHT}")
     if len(net.final_lineages()) > BRUTE_MAX_LEAVES:
         raise PatternError(f"brute force guard: <= {BRUTE_MAX_LEAVES} leaves")
-    if p.height == 0:
-        return len(net.final_lineages())
-    plan = _brute_plan(p)
-    return _divide(_embeddings(plan, net), plan.automorphisms)
+    return count_occurrences_generic(net, p)
 
 
 def _divide(emb: int, aut: int) -> int:
@@ -570,7 +473,7 @@ def _count_table() -> np.ndarray:
 def count_batch(batch, pattern_ids) -> np.ndarray:
     """(m, len(pattern_ids)) int64 occurrence counts of catalog patterns
     on every network of a networks.LockstepBatch.  Row r equals the
-    anchored matcher's counts on the network of row r."""
+    brute force's counts on the network of row r."""
     return count_batches((batch,), pattern_ids, batch.kind.shape[1])
 
 
@@ -703,8 +606,8 @@ def count_occurrences(network: Union[Network, EventStructure],
     On a Network, catalog shapes, by id or by spec, are counted by
     count_catalog from their closed forms.  Anything else, and every
     pattern on a bare EventStructure (such as a pattern's own structure,
-    whose initial lineages have no producer), goes through the anchored
-    matcher.  Both agree with the brute force oracle.
+    whose initial lineages have no producer), is enumerated by
+    count_occurrences_generic, the brute force without its guards.
     """
     pid, spec = resolve(p)
     if pid is not None and isinstance(network, Network):

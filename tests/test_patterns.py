@@ -33,6 +33,117 @@ def test_catalog_footprints():
         EXPECTED_FOOTPRINTS
 
 
+# -- the anchored matcher ---------------------------------------------------
+# An embedding count independent of the brute force's: it picks each
+# pattern event's host candidates from the lineages already bound, where
+# the brute force tries every host event of the kind.
+
+
+def _match_plan(s):
+    """Order pattern events so each one after the first touches a lineage
+    of an earlier event; connectivity guarantees such an order."""
+    E = s.n_events
+    adj = [set() for _ in range(E)]
+    for l in range(s.n_lineages):
+        pe, ce = s.prod_ev[l], s.consumer[l]
+        if pe != -1 and ce != -1:
+            adj[pe].add(ce)
+            adj[ce].add(pe)
+    order = [0]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for f in sorted(adj[e]):
+                if f not in seen:
+                    seen.add(f)
+                    order.append(f)
+                    nxt.append(f)
+        frontier = nxt
+    return order
+
+
+def _count_embeddings(pat, net):
+    """Number of embeddings of the pattern into the host structure.
+
+    An embedding maps pattern events injectively to host events of the
+    same kind, preserving lineage incidence up to the event symmetries;
+    final pattern lineages must map to external host lineages.
+    """
+    E = pat.n_events
+    if E == 0:
+        return len(net.final_lineages())
+    order = _match_plan(pat)
+    pat_final = set(pat.final_lineages())
+
+    lin_map = {}
+    used_ev = set()
+    used_lin = set()
+    count = 0
+
+    def bind(pl, nl, bound):
+        if pl in lin_map:
+            return lin_map[pl] == nl
+        if nl in used_lin:
+            return False
+        if pl in pat_final and net.consumer[nl] != -1:
+            return False
+        lin_map[pl] = nl
+        used_lin.add(nl)
+        bound.append(pl)
+        return True
+
+    def try_event(pe, ne, swap, bound):
+        return all(bind(pl, nl, bound) for pl, nl in zip(
+            pt._alignment_slots(pat, pe, swap),
+            net.consumed[ne] + net.produced[ne]))
+
+    def candidates(pe):
+        """Host events consistent with already-bound lineages."""
+        for l in pat.consumed[pe]:
+            if l in lin_map:
+                ne = net.consumer[lin_map[l]]
+                return [ne] if ne != -1 else []
+        for l in pat.produced[pe]:
+            if l in lin_map:
+                ne = net.prod_ev[lin_map[l]]
+                return [ne] if ne != -1 else []
+        return [e for e in range(net.n_events) if net.kinds[e] == pat.kinds[pe]]
+
+    def rec(i):
+        nonlocal count
+        if i == E:
+            count += 1
+            return
+        pe = order[i]
+        for ne in candidates(pe):
+            if ne in used_ev or net.kinds[ne] != pat.kinds[pe]:
+                continue
+            # branching: child swap; reticulation: joint side swap (the
+            # consumed pair and outer children swap together, the middle
+            # child is fixed)
+            for swap in (0, 1):
+                bound = []
+                used_ev.add(ne)
+                if try_event(pe, ne, swap, bound):
+                    rec(i + 1)
+                for pl in bound:
+                    used_lin.discard(lin_map.pop(pl))
+                used_ev.discard(ne)
+
+    rec(0)
+    return count
+
+
+def _matcher_count(network, p):
+    """Occurrences of p by the anchored matcher: the embeddings into the
+    host over the pattern's self-embeddings."""
+    net = network.structure if isinstance(network, Network) else network
+    pat = p.structure
+    return pt._divide(_count_embeddings(pat, net), _count_embeddings(pat, pat))
+
+
 # the canonical text of each catalog shape
 CANONICAL_TEXTS = {
     "cherry": "k=1|B(0)->(1,2)",
@@ -167,21 +278,23 @@ def test_fast_equals_generic_equals_bruteforce(n, seed):
 
 def test_fast_equals_generic_equals_bruteforce_on_pattern_hosts():
     # a pattern's initial lineages, like the root edge, have no producer;
-    # only the matcher and the brute force count on a pattern's structure
+    # only the enumerations count on a pattern's structure
     for host_id, host in CAT.items():
         _assert_counters_agree(host.structure, host_id)
 
 
 def _assert_counters_agree(host, label):
     """On a network the closed forms, by id and by spec, agree with the
-    matcher and the brute force; on a bare structure the last two do."""
+    generic count, the brute force and the test-side matcher; on a bare
+    structure the last three do."""
     brute = []
     for pid, spec in CAT.items():
         # a spec resolves to its catalog id, as the pattern files do
         single = pt.count_occurrences(host, spec)
         generic = pt.count_occurrences_generic(host, spec)
         brute.append(pt.count_occurrences_bruteforce(host, spec))
-        assert single == generic == brute[-1], (pid, label)
+        assert single == generic == brute[-1] == _matcher_count(host, spec), \
+            (pid, label)
     if isinstance(host, Network):
         assert pt.count_catalog(host, CAT) == tuple(brute), label
 
@@ -208,7 +321,7 @@ def test_closed_forms_equal_matcher_on_pinned_hosts():
     rows = []
     for net in hosts:
         rows.append(pt.count_catalog(net, CAT))
-        assert rows[-1] == tuple(pt.count_occurrences_generic(net, spec)
+        assert rows[-1] == tuple(_matcher_count(net, spec)
                                  for spec in CAT.values()), nw.serialize(net)
     by_id = list(zip(*rows))
     for a, b in itertools.combinations(range(len(CAT)), 2):
@@ -290,7 +403,7 @@ def test_count_batch_on_histories_equals_scalar_counts():
     # every history with n <= 5, against the anchored matcher
     for n in range(2, 6):
         got = pt.count_batch(nw.history_batch(n, 0, nw.history_count(n)), CAT)
-        want = [[pt.count_occurrences_generic(net, spec) for spec in CAT.values()]
+        want = [[_matcher_count(net, spec) for spec in CAT.values()]
                 for net, _ in nw.enumerate_histories(n)]
         assert got.tolist() == want, n
 
@@ -584,9 +697,33 @@ def test_bruteforce_equals_generic_on_random_patterns():
                         for copies, suffix in ((1, 0), (2, 0), (3, 0), (1, 3), (2, 8))]
                 nets.append(nw.generate(rng.randint(2, 40), rng.randrange(99)))
                 got = [pt.count_occurrences_bruteforce(net, spec) for net in nets]
-                assert got == [pt.count_occurrences_generic(net, spec)
+                assert got == [_matcher_count(net, spec)
                                for net in nets], spec
                 assert got[0] >= 1, spec
+
+
+def test_unguarded_count_equals_matcher_beyond_the_guards():
+    # count_occurrences on a spec above BRUTE_MAX_HEIGHT, and
+    # count_occurrences_generic on a host above BRUTE_MAX_LEAVES, run the
+    # brute force's enumeration without its guards
+    draw = random.Random(20261022)
+    tall = _random_pattern(draw, pt.BRUTE_MAX_HEIGHT + 1, False)
+    assert pt.resolve(tall)[0] is None
+    nets = [_planted(draw, tall, n, copies, suffix)
+            for n, copies, suffix in ((30, 1, 0), (40, 2, 0), (40, 2, 3))]
+    got = [pt.count_occurrences(net, tall) for net in nets]
+    assert got == [_matcher_count(net, tall) for net in nets]
+    # a copy planted last, with no suffix after it, is an occurrence
+    assert got[0] >= 1
+    with pytest.raises(pt.PatternError, match="height <= "):
+        pt.count_occurrences_bruteforce(nets[0], tall)
+    big = _planted(draw, tall, pt.BRUTE_MAX_LEAVES + 30, 1, 0)
+    specs = (CAT["cherry"], CAT["c-ii"], CAT["h3-ci"], tall)
+    got = [pt.count_occurrences_generic(big, spec) for spec in specs]
+    assert got == [_matcher_count(big, spec) for spec in specs]
+    assert got[-1] >= 1
+    with pytest.raises(pt.PatternError, match="leaves"):
+        pt.count_occurrences_bruteforce(big, CAT["cherry"])
 
 
 def test_bruteforce_slices_do_not_change_counts(monkeypatch):
@@ -615,7 +752,7 @@ def test_bruteforce_automorphisms_equal_matcher_self_embeddings():
     for pid, spec in CAT.items():
         s = spec.structure
         assert pt._brute_plan(spec).automorphisms == \
-            pt._count_embeddings(s, s), pid
+            _count_embeddings(s, s), pid
 
 
 def test_wrong_automorphism_count_raises(monkeypatch):
@@ -625,11 +762,11 @@ def test_wrong_automorphism_count_raises(monkeypatch):
         plan, automorphisms=plan.automorphisms + 1))
     with pytest.raises(pt.PatternError, match="not divisible"):
         pt.count_occurrences_bruteforce(net, "cherry")
-    count = pt._count_embeddings
-    monkeypatch.setattr(pt, "_count_embeddings",
-                        lambda pat, host: count(pat, host) + (pat is host))
+    # the unguarded count divides by the same plan's automorphisms
     with pytest.raises(pt.PatternError, match="not divisible"):
         pt.count_occurrences_generic(net, CAT["cherry"])
+    with pytest.raises(pt.PatternError, match="not divisible"):
+        pt.count_occurrences(net.structure, CAT["cherry"])
 
 
 def test_no_assert_statements_in_package():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtcnlab import networks as nw
 from rtcnlab import rng
 
 
@@ -15,7 +16,8 @@ def test_counter_stream_is_first_word_of_each_philox_block():
 
 
 def test_counter_stream_takes_numpy_ids():
-    for seed, stream in ((np.int64(3), np.int64(-5)), (3, np.int64(2**62)),
+    for seed, stream in ((np.int64(3), np.uint64(2**64 - 5)),
+                         (3, np.int64(2**62)),
                          (np.uint64(3), np.uint64(2**64 - 1))):
         assert rng.CounterStream(seed, stream).words(5).tolist() == \
             rng.CounterStream(int(seed), int(stream)).words(5).tolist()
@@ -48,3 +50,16 @@ def test_seeds_outside_64_bits_are_refused():
         with pytest.raises(ValueError, match=f"seed {seed} "):
             rng.CounterStream(seed).words(0)
     assert len(rng.raw_block(2**64 - 1, 2, 0, 4)) == 4
+
+
+def test_streams_outside_64_bits_are_refused():
+    # a stream is a key word, not reduced mod 2^64: -1 and 2^64 would
+    # alias streams 2^64 - 1 and 0
+    for stream in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match=f"stream {stream} "):
+            rng.raw_block(1, 5, 0, 8, stream=stream)
+        with pytest.raises(ValueError, match=f"stream {stream} "):
+            rng.CounterStream(0, stream).words(0)
+        with pytest.raises(ValueError, match=f"stream {stream} "):
+            nw.generate(6, 3, stream)
+    assert len(rng.raw_block(1, 5, 0, 8, stream=2**64 - 1)) == 8
